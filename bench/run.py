@@ -7,7 +7,7 @@ One operation parses an .emb text with ``fileio.read_embedding``, runs
 ``SolveReport.to_json``.  Every output is checked by this directory's own
 face tracing.  Run from the root of a checkout:
 
-    python3 bench/run.py --workload grid --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload grid --seed 1 --seconds 30 --trace 0
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  ``--trace 0``
@@ -82,7 +82,6 @@ class Results:
         self.inputs = inputs
         self.checked = [None] * len(inputs)  # output text that passed the check
         self.times = []
-        self.vertices = 0
         self.failed = 0
         self.wrong = 0
         self.max_nodes = 0
@@ -91,7 +90,6 @@ class Results:
     def record(self, i, seconds, outcome):
         inp = self.inputs[i]
         self.times.append(seconds)
-        self.vertices += inp.size
         if isinstance(outcome, Exception):
             self._fail(inp, f"{type(outcome).__name__}: {outcome}")
             return None
@@ -130,9 +128,10 @@ def solve_one(package, results, i, tracer=None):
     return seconds, results.record(i, seconds, outcome)
 
 
-def run_round(package, results):
+def run_round(package, results, per_input):
     for i in range(len(results.inputs)):
-        solve_one(package, results, i)
+        seconds, _ = solve_one(package, results, i)
+        per_input[i].append(seconds)
 
 
 def traced_round(package, results, tracer):
@@ -178,24 +177,30 @@ def percentile(values, p):
 
 
 def end_to_end(workload, package, inputs, setup_s, seconds):
+    """Whole rounds until ``seconds``.  The timings are taken over each
+    input's median time across the rounds, so that a stretch of the run in
+    which the machine is slower moves no metric unless it covers most
+    rounds."""
     results = Results(inputs)
+    per_input = [[] for _ in inputs]
     start = perf_counter()
     rounds = 0
     while True:
-        run_round(package, results)
+        run_round(package, results, per_input)
         rounds += 1
         if not keep_going(start, rounds, seconds):
             break
-    times_ms = [1000 * t for t in results.times]
+    typical_ms = [1000 * statistics.median(t) for t in per_input]
     metrics = {
         "setup_s": (setup_s, "s"),
-        "solve_ms_p50": (statistics.median(times_ms), "ms"),
-        "solve_ms_tail": (percentile(times_ms, TAIL[workload]), "ms"),
-        "vertices_per_s": (results.vertices / sum(results.times), "vertices/s"),
+        "solve_ms_p50": (statistics.median(typical_ms), "ms"),
+        "solve_ms_tail": (percentile(typical_ms, TAIL[workload]), "ms"),
+        "vertices_per_s": (1000 * sum(inp.size for inp in inputs) / sum(typical_ms),
+                           "vertices/s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
     summary = (f"{workload}: {rounds} rounds of {len(inputs)} operations, "
-               f"tail p{TAIL[workload]}, slowest {max(times_ms):.1f} ms, "
+               f"tail p{TAIL[workload]}, slowest {1000 * max(results.times):.1f} ms, "
                f"most nodes {results.max_nodes}")
     return results, metrics, summary
 
@@ -320,7 +325,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
