@@ -122,9 +122,20 @@ def solve_planar(emb: Embedding, budget: Budget | None = None) -> SolveReport:
         return SolveReport(UNKNOWN, trace=(str(exc),), nodes=budget.used_nodes)
     if vc is None:  # impossible for planar inputs; kept for honesty
         return SolveReport(UNSAT, trace=("chromatic number exceeds four",))
-    coloring = tait_lift(emb, vc)
-    assert verify_grunbaum(emb, coloring).ok
-    return SolveReport(FOUND, coloring, method="TAIT", nodes=budget.used_nodes)
+    return _lift_report(emb, vc, budget, [])
+
+
+def _lift_report(
+    emb: Embedding, vertex_colors: list[int], budget: Budget, trace: list[str]
+) -> SolveReport:
+    """Tait's lift of a vertex 4-coloring, reported FOUND only once verified."""
+    coloring = tait_lift(emb, vertex_colors)
+    if not verify_grunbaum(emb, coloring).ok:
+        return SolveReport(UNKNOWN, method="TAIT",
+                           trace=(*trace, "tait lift: lifted coloring failed verification"),
+                           nodes=budget.used_nodes)
+    return SolveReport(FOUND, coloring, method="TAIT", trace=tuple(trace),
+                       nodes=budget.used_nodes)
 
 
 # -- disks ---------------------------------------------------------------------------
@@ -889,10 +900,7 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
             vc = None
             trace.append("4-coloring search hit the budget")
         if vc is not None:
-            coloring = tait_lift(emb, vc)
-            assert verify_grunbaum(emb, coloring).ok
-            return SolveReport(FOUND, coloring, method="TAIT", trace=tuple(trace),
-                               nodes=budget.used_nodes)
+            return _lift_report(emb, vc, budget, trace)
         trace.append("not 4-colorable")
     else:
         trace.append(f"clique of size {len(clique)}")

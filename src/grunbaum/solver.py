@@ -11,6 +11,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import COLORS, EdgeColoring, PartialColoring
@@ -333,67 +334,91 @@ def color_vertices_k(
     """Proper k-coloring by DSATUR-ordered backtracking, or None if impossible.
 
     Exhaustive: a None return is a proof that no k-coloring exists (within
-    budget; BudgetExceeded propagates).  Ties break to higher degree, then
-    lower id.  A clique may be pre-colored to cut color symmetry.
+    budget; BudgetExceeded propagates).  A clique is pre-colored 0, 1, ... to
+    cut color symmetry: ``seed_clique`` if given, else a greedy one.
+
+    Each search node takes the uncolored vertex with the most distinct colors
+    among its neighbors (saturation), ties to the higher degree, then the
+    lower id, and tries the colors no neighbor uses in increasing order, up
+    to one above the highest color in use; every node ticks the budget once.
+    The search is iterative, over an explicit stack of (vertex, next color)
+    frames, so no input size meets the recursion limit.  A node costs
+    O(deg log V): per-vertex counts of neighbor colors keep saturation
+    current as vertices are colored and uncolored, and a heap with lazy
+    deletion yields the next vertex.
     """
     n = len(adj)
     budget = budget or Budget()
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     clique = list(seed_clique) if seed_clique is not None else _greedy_clique(adj)
     if len(clique) > k:
         return None
 
-    assigned: list[int] = []
+    colors = [-1] * n
+    seen = [[0] * k for _ in range(n)]  # seen[w][c]: neighbors of w colored c
+    sat = [0] * n
+    negdeg = [-len(a) for a in adj]
+    # (-sat, -degree, id); an entry is live while its vertex is uncolored
+    # and its saturation is current, so stale entries are skipped at the top
+    heap: list[tuple[int, int, int]] = []
 
-    def assign(v: int, c: int):
+    def recolor(v: int, c: int) -> None:
+        """Give v color c (-1 for none), keeping seen, sat and the heap current."""
+        old = colors[v]
         colors[v] = c
-        assigned.append(v)
         for w in adj[v]:
-            neighbor_colors[w].add(c)
-
-    def unassign(v: int):
-        c = colors[v]
-        colors[v] = -1
-        assigned.pop()
-        for w in adj[v]:
-            if all(colors[x] != c for x in adj[w]):
-                neighbor_colors[w].discard(c)
+            row = seen[w]
+            s = sat[w]
+            if old >= 0:
+                row[old] -= 1
+                if not row[old]:
+                    s -= 1
+            if c >= 0:
+                if not row[c]:
+                    s += 1
+                row[c] += 1
+            if s != sat[w]:
+                sat[w] = s
+                if colors[w] < 0:
+                    heappush(heap, (-s, negdeg[w], w))
+        if c < 0:
+            heappush(heap, (-sat[v], negdeg[v], v))
 
     for i, v in enumerate(clique):
-        assign(v, i)
+        recolor(v, i)
+    heap[:] = [(-sat[v], negdeg[v], v) for v in range(n) if colors[v] < 0]
+    heapify(heap)
 
-    def choose() -> int | None:
-        best_v, best_key = None, None
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            key = (len(neighbor_colors[v]), len(adj[v]), -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        return best_v
-
-    def backtrack() -> bool:
+    # frames [vertex, next color to try, color bound, highest color in use
+    # before the vertex was colored]
+    stack: list[list[int]] = []
+    highest = len(clique) - 1
+    while True:
         budget.tick()
-        v = choose()
-        if v is None:
-            return True
-        used = neighbor_colors[v]
-        used_count = len([c for c in range(k) if c in used])
-        if used_count == k:
-            return False
-        max_new = min(k, (max(colors) if assigned else -1) + 2)
-        for c in range(max_new):
-            if c in used:
-                continue
-            assign(v, c)
-            if backtrack():
-                return True
-            unassign(v)
-        return False
-
-    ok = backtrack()
-    return list(colors) if ok else None
+        while heap and (colors[heap[0][2]] >= 0 or -heap[0][0] != sat[heap[0][2]]):
+            heappop(heap)
+        if not heap:
+            return colors
+        v = heap[0][2]
+        if sat[v] < k:
+            stack.append([v, 0, min(k, highest + 2), highest])
+        # color the top frame's vertex with its next free color, dropping
+        # frames whose colors are used up
+        while stack:
+            frame = stack[-1]
+            v, c, bound, below = frame
+            row = seen[v]
+            while c < bound and row[c]:
+                c += 1
+            if c < bound:
+                frame[1] = c + 1
+                recolor(v, c)
+                highest = max(below, c)
+                break
+            stack.pop()
+            recolor(v, -1)
+            highest = below
+        else:
+            return None
 
 
 def four_color_vertices(

@@ -36,6 +36,8 @@ from grunbaum.pipeline import (
     solve_torus,
     square_disk_type,
 )
+from grunbaum import pipeline
+from grunbaum.coloring import EdgeColoring
 from grunbaum.solver import solve_exact
 
 K4 = build_embedding([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
@@ -234,6 +236,30 @@ def test_five_chromatic_goes_exact():
     report = solve_torus(g)
     assert report.found and report.method == "EXACT"
     assert verify_grunbaum(g, report.coloring).ok
+
+
+def test_solve_large_refined_grid_goes_tait():
+    g = random_refinement(gen_altshuler(36, 36, 0).embedding, 1, seed=0)
+    report = solve(g)
+    assert report.found and report.method == "TAIT"
+    assert verify_grunbaum(g, report.coloring).ok
+
+
+def test_failed_lift_is_not_reported_found(monkeypatch):
+    real_lift = pipeline.tait_lift
+
+    def bad_lift(emb, vertex_colors):
+        colors = list(real_lift(emb, vertex_colors).colors)
+        e0, e1, _ = trace_faces(emb).face_edges(0)
+        colors[e1] = colors[e0]
+        return EdgeColoring(tuple(colors))
+
+    monkeypatch.setattr(pipeline, "tait_lift", bad_lift)
+    sphere = gen_named("octahedron")
+    torus = random_refinement(gen_altshuler(3, 6, 0).embedding, 1, seed=0)
+    for report in (solve_planar(sphere), solve_torus(torus)):
+        assert report.status == "UNKNOWN" and report.coloring is None
+        assert any("tait lift" in t for t in report.trace)
 
 
 def test_quad_apex_never_alternating():

@@ -1,8 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
-from grunbaum.catalog import gen_named
+from grunbaum.catalog import gen_altshuler, gen_named
 from grunbaum.coloring import PartialColoring, verify_grunbaum
 from grunbaum.embedding import build_embedding, trace_faces
 from grunbaum.errors import BudgetExceeded
@@ -78,6 +79,45 @@ def test_split_solve_agrees():
     assert solve_exact_split(k7, mode="count", threads=3) == 48
 
 
+def brute_force_chromatic_number(adj):
+    """Smallest k for which some k-coloring in itertools.product is proper."""
+    edges = [(u, v) for u in range(len(adj)) for v in adj[u] if u < v]
+    k = 0
+    while not any(
+        all(c[u] != c[v] for u, v in edges) for c in product(range(k), repeat=len(adj))
+    ):
+        k += 1
+    return k
+
+
+def random_graph(rng, n):
+    p = rng.uniform(0.2, 0.9)
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u].add(v)
+                adj[v].add(u)
+    return adj
+
+
+def random_maximal_clique(rng, adj):
+    clique = [rng.randrange(len(adj))]
+    cands = set(adj[clique[0]])
+    while cands:
+        v = rng.choice(sorted(cands))
+        clique.append(v)
+        cands &= adj[v]
+    return clique
+
+
+def assert_proper(adj, colors, k):
+    assert len(colors) == len(adj)
+    assert all(0 <= c < k for c in colors)
+    for v, nbrs in enumerate(adj):
+        assert all(colors[v] != colors[w] for w in nbrs)
+
+
 def test_four_coloring_small_cases():
     oct_adj = gen_named("octahedron").adjacency()
     colors = four_color_vertices(oct_adj)
@@ -98,6 +138,27 @@ def test_k_coloring_exhaustive_negative():
     k6 = [set(range(6)) - {v} for v in range(6)]
     assert color_vertices_k(k6, 5) is None
     assert color_vertices_k(k6, 6) is not None
+
+    # brute-force oracle: None exactly when no proper k-coloring exists,
+    # with the default greedy clique, no clique, and another maximal clique
+    rng = random.Random(2024)
+    for _ in range(60):
+        adj = random_graph(rng, rng.randint(1, 8))
+        chi = brute_force_chromatic_number(adj)
+        for seed_clique in (None, [], random_maximal_clique(rng, adj)):
+            for k in range(2, 6):
+                colors = color_vertices_k(adj, k, seed_clique=seed_clique)
+                if k < chi:
+                    assert colors is None, (adj, k, seed_clique)
+                else:
+                    assert colors is not None, (adj, k, seed_clique)
+                    assert_proper(adj, colors, k)
+
+
+def test_four_coloring_has_no_recursion_limit():
+    # 1296 vertices: deeper than the default recursion limit
+    adj = gen_altshuler(36, 36, 0).embedding.adjacency()
+    assert_proper(adj, four_color_vertices(adj), 4)
 
 
 def test_budget_propagates_from_vertex_coloring():
