@@ -45,7 +45,6 @@ from .solver import (
     count_grunbaum_colorings,
     four_color_vertices,
     solve_exact,
-    solve_exact_split,
 )
 from .chroma import (
     SubgraphMatch,
@@ -64,7 +63,6 @@ from .catalog import (
     triangulate_faces,
 )
 from .pipeline import (
-    BoundaryConstraint,
     CaseEntry,
     altshuler_coloring,
     apply_case_table,

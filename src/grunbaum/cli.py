@@ -22,7 +22,7 @@ from .fileio import (
     write_embedding,
 )
 from .pipeline import solve
-from .solver import Budget, solve_exact_split
+from .solver import Budget, solve_exact
 from .chroma import chromatic_number
 
 
@@ -63,17 +63,17 @@ def cmd_solve(args) -> int:
     if args.fixed:
         fixed = read_coloring(args.fixed, emb, partial=True)
     if args.method == "exact" or fixed is not None:
-        report = solve_exact_split(emb, fixed=fixed, threads=args.threads,
-                                   budget=budget)
-        report.method = "EXACT"
+        report = solve_exact(emb, fixed=fixed, budget=budget)
     else:
         report = solve(emb, budget=budget)
     if report.found:
+        # the pipeline reports FOUND only for a verified coloring; exact
+        # search does not check, so every coloring is checked before writing
         if is_triangulation(emb):
             check = verify_grunbaum(emb, report.coloring)
         else:
             check = verify_partial(emb, report.coloring.as_partial())
-        if not check.ok:  # the pipeline asserts this; double-check before writing
+        if not check.ok:
             print("internal error: coloring failed verification", file=sys.stderr)
             return 1
         if args.out:
@@ -158,7 +158,7 @@ def cmd_kempe(args) -> int:
 # the parsers: the flag actions are shared with every subparser through
 # ``parents=[common]``, and a real default there would let the subparser
 # overwrite a value given before the subcommand.
-GLOBAL_DEFAULTS = {"json": False, "seed": 0, "budget": None, "threads": 1}
+GLOBAL_DEFAULTS = {"json": False, "seed": 0, "budget": None}
 
 
 def main(argv=None) -> int:
@@ -170,8 +170,6 @@ def main(argv=None) -> int:
                         help="seed for randomized steps (default 0)")
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="search node budget (default from GRUNBAUM_BUDGET or 1e7)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for exact search")
 
     parser = argparse.ArgumentParser(
         prog="grunbaum",
@@ -189,7 +187,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", parents=[common],
                        help="produce a coloring and a report")
     p.add_argument("file")
-    p.add_argument("--method", choices=("auto", "exact", "pipeline"), default="auto")
+    p.add_argument("--method", choices=("auto", "exact"), default="auto")
     p.add_argument("--fixed", default=None,
                    help="partial coloring (.gcol) to respect; forces exact search")
     p.add_argument("--out", default=None, help="write the coloring here")
@@ -224,8 +222,6 @@ def main(argv=None) -> int:
     for name, value in GLOBAL_DEFAULTS.items():
         if not hasattr(args, name):
             setattr(args, name, value)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except (FormatError, FileNotFoundError, ValueError) as exc:

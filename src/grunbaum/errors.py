@@ -89,5 +89,9 @@ class ClassificationAnomaly(GrunbaumError):
     """Zero or several critical patterns matched a six-chromatic graph."""
 
 
+class VerificationFailed(GrunbaumError):
+    """A coloring built by the pipeline failed its final check."""
+
+
 class UnknownId(GrunbaumError):
     """Requested catalog or figure id does not exist."""

@@ -37,16 +37,15 @@ from .embedding import (
     trace_faces,
 )
 from .errors import (
-    BadParity,
     BudgetExceeded,
     ClassificationAnomaly,
-    MixedTriple,
     NoTableEntry,
     NotAGridLabeling,
     NotARefinement,
     NotSimple,
     NotTriangulation,
     SideNotADisk,
+    VerificationFailed,
 )
 from .isomorphism import embedding_isomorphisms
 from .solver import FOUND, UNKNOWN, UNSAT, Budget, SolveReport, four_color_vertices, solve_exact
@@ -119,23 +118,41 @@ def solve_planar(emb: Embedding, budget: Budget | None = None) -> SolveReport:
     try:
         vc = four_color_vertices(emb.adjacency(), budget=budget)
     except BudgetExceeded as exc:
-        return SolveReport(UNKNOWN, trace=(str(exc),), nodes=budget.used_nodes)
+        return SolveReport(UNKNOWN, method="4-coloring", trace=(f"4-coloring: {exc}",),
+                           nodes=budget.used_nodes)
     if vc is None:  # impossible for planar inputs; kept for honesty
         return SolveReport(UNSAT, trace=("chromatic number exceeds four",))
-    return _lift_report(emb, vc, budget, [])
+    return _verified_report(emb, tait_lift(emb, vc), "TAIT", [], budget, "tait lift")
 
 
-def _lift_report(
-    emb: Embedding, vertex_colors: list[int], budget: Budget, trace: list[str]
+def _verified_report(
+    emb: Embedding,
+    coloring: EdgeColoring,
+    method: str,
+    trace: list[str],
+    budget: Budget,
+    stage: str,
+    millis: float = 0.0,
 ) -> SolveReport:
-    """Tait's lift of a vertex 4-coloring, reported FOUND only once verified."""
-    coloring = tait_lift(emb, vertex_colors)
+    """FOUND only once the coloring passes verification; otherwise UNKNOWN,
+    named after the stage that built the coloring."""
     if not verify_grunbaum(emb, coloring).ok:
-        return SolveReport(UNKNOWN, method="TAIT",
-                           trace=(*trace, "tait lift: lifted coloring failed verification"),
+        return SolveReport(UNKNOWN, method=stage,
+                           trace=(*trace, f"{stage}: coloring failed verification"),
                            nodes=budget.used_nodes)
-    return SolveReport(FOUND, coloring, method="TAIT", trace=tuple(trace),
-                       nodes=budget.used_nodes)
+    return SolveReport(FOUND, coloring, method=method, trace=tuple(trace),
+                       nodes=budget.used_nodes, millis=millis)
+
+
+def _found(report: SolveReport) -> EdgeColoring | None:
+    """A sub-search's coloring, or None when it proved that none exists.
+
+    UNKNOWN (an exhausted budget, or a lift that failed its check) goes back
+    up as BudgetExceeded, so that only the entry points turn it into a report.
+    """
+    if report.status == UNKNOWN:
+        raise BudgetExceeded(report.trace[-1])
+    return report.coloring
 
 
 # -- disks ---------------------------------------------------------------------------
@@ -172,29 +189,18 @@ def apex_solve(disk: Disk, budget: Budget | None = None) -> PartialColoring:
     obey the parity forced by a separating cycle in the capped sphere.
     """
     capped = cap_with_apex(disk)
-    report = solve_planar(capped, budget=budget)
-    if not report.found:
-        raise NoTableEntry(f"capped disk not solvable: {report.status}")
+    coloring = _found(solve_planar(capped, budget=budget))
+    if coloring is None:
+        raise NoTableEntry("capped disk is not 4-colorable")
     emb = disk.embedding
     colors = []
     for u, v in emb.edges:
-        colors.append(report.coloring[capped.edge_id(u, v)])
+        colors.append(coloring[capped.edge_id(u, v)])
     return PartialColoring(tuple(colors))
 
 
-@dataclass(frozen=True)
-class BoundaryConstraint:
-    """What a disk's boundary must look like, relative to a labeling cycle.
-
-    ``positions`` are disk edge ids in labeling order.  Either ``fixed``
-    pins exact colors or ``kinds`` names acceptable square signatures.
-    """
-
-    positions: tuple[int, ...]
-    fixed: tuple[int, ...] | None = None
-    kinds: frozenset[str] | None = None
-
-
+# one pinned boundary per square signature: a signature fixes the exact
+# colors up to one global color permutation, so each decides its kind
 _KIND_REPRESENTATIVE = {
     "A": (0, 1, 0, 1),
     "B1": (0, 0, 1, 1),
@@ -203,73 +209,18 @@ _KIND_REPRESENTATIVE = {
 }
 
 
-def solve_disk(disk: Disk, constraint: BoundaryConstraint, budget: Budget | None = None):
-    """Find an interior coloring meeting the boundary constraint.
-
-    Exact solves with pinned boundary colorings are tried first (a square
-    signature is determined by its exact colors up to one global color
-    permutation, so one representative per kind decides achievability); if a
-    kind set was given and no pin succeeds, a short walk over Kempe changes
-    of an unconstrained coloring is tried before reporting UNSAT.
-
-    Returns (SolveReport, achieved signature name or None).
-    """
-    budget = budget or Budget()
-    emb = disk.embedding
-    pins: list[tuple[str | None, tuple[int, ...]]] = []
-    if constraint.fixed is not None:
-        pins.append((None, constraint.fixed))
-    if constraint.kinds is not None:
-        for kind in sorted(constraint.kinds):
-            pins.append((kind, _KIND_REPRESENTATIVE[kind]))
-    last = SolveReport(UNSAT)
-    for kind, pattern in pins:
-        fixed = PartialColoring.from_dict(
-            emb.num_edges, dict(zip(constraint.positions, pattern))
-        )
-        report = solve_exact(
-            emb, fixed=fixed, exempt_faces=(disk.outer_face,), budget=budget.spawn()
-        )
-        if report.found:
-            got = classify_square(
-                [report.coloring[e] for e in constraint.positions]
-            ).kind if len(constraint.positions) == 4 else None
-            return report, got if kind is None else kind
-        last = report
-    if constraint.kinds is not None:
-        base = solve_exact(emb, exempt_faces=(disk.outer_face,), budget=budget.spawn())
-        if base.found:
-            seen = set()
-            frontier = [base.coloring]
-            for _ in range(64):
-                if not frontier:
-                    break
-                coloring = frontier.pop()
-                key = coloring.colors
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    kind = classify_square(
-                        [coloring[e] for e in constraint.positions]
-                    ).kind
-                except (MixedTriple, BadParity):
-                    kind = None
-                if kind in constraint.kinds:
-                    return (
-                        SolveReport(FOUND, coloring, method="EXACT",
-                                    trace=("reached via Kempe changes",)),
-                        kind,
-                    )
-                for e in range(emb.num_edges):
-                    c = coloring[e]
-                    for other in COLORS:
-                        if other != c:
-                            frontier.append(
-                                kempe_change(emb, coloring, e, (c, other),
-                                             exclude_faces=(disk.outer_face,))
-                            )
-    return last, None
+def solve_disk(
+    disk: Disk,
+    positions: Sequence[int],
+    colors: Sequence[int],
+    budget: Budget | None = None,
+) -> EdgeColoring | None:
+    """Color a disk with the boundary edges at ``positions`` pinned to
+    ``colors``; None when no such coloring exists."""
+    fixed = PartialColoring.from_dict(disk.embedding.num_edges, dict(zip(positions, colors)))
+    return _found(solve_exact(
+        disk.embedding, fixed=fixed, exempt_faces=(disk.outer_face,), budget=budget
+    ))
 
 
 def achievable_square_kinds(
@@ -277,18 +228,10 @@ def achievable_square_kinds(
 ) -> frozenset[str]:
     """Which of A, B1, B2, C the disk can show on its boundary."""
     budget = budget or Budget()
-    out = set()
-    for kind, pattern in _KIND_REPRESENTATIVE.items():
-        fixed = PartialColoring.from_dict(
-            disk.embedding.num_edges, dict(zip(positions, pattern))
-        )
-        report = solve_exact(
-            disk.embedding, fixed=fixed, exempt_faces=(disk.outer_face,),
-            budget=budget.spawn(),
-        )
-        if report.found:
-            out.add(kind)
-    return frozenset(out)
+    return frozenset(
+        kind for kind, pattern in _KIND_REPRESENTATIVE.items()
+        if solve_disk(disk, positions, pattern, budget) is not None
+    )
 
 
 def square_disk_type(kinds: frozenset[str]) -> int:
@@ -558,7 +501,8 @@ def extend_into_faces(
     if len(out) != refined.num_edges:
         raise NotARefinement("refinement has edges outside every host face")
     coloring = EdgeColoring(tuple(out[e] for e in range(refined.num_edges)))
-    assert verify_grunbaum(refined, coloring).ok
+    if not verify_grunbaum(refined, coloring).ok:
+        raise VerificationFailed("extended coloring failed verification")
     return coloring
 
 
@@ -580,9 +524,7 @@ def _finish(
     if len(out) != host.num_edges:
         raise NoTableEntry("case machinery did not cover every edge")
     coloring = EdgeColoring(tuple(out[e] for e in range(host.num_edges)))
-    assert verify_grunbaum(host, coloring).ok
-    return SolveReport(FOUND, coloring, method=method, trace=tuple(trace),
-                       nodes=budget.used_nodes)
+    return _verified_report(host, coloring, method, trace, budget, method)
 
 
 # -- the K6 case machinery ------------------------------------------------------------
@@ -592,7 +534,7 @@ def _read_positions(disk: Disk, coloring: PartialColoring, positions) -> list[in
     return [coloring[p] for p in positions]
 
 
-def _route_k6_squares(host, frame, budget, trace) -> SolveReport:
+def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
     """(4,4,4) machinery: type each square disk, look up the triple, pin."""
     variant = "444A" if frame.name == "k6-444a" else "444B"
     labeling = cat.labeling_cycles(frame.name)
@@ -629,13 +571,11 @@ def _route_k6_squares(host, frame, budget, trace) -> SolveReport:
     out = frame.transport(host, coloring)
     for disk, pos, cyc in zip(disks, positions, squares):
         want = [out[e] for e in frame.host_cycle(host, cyc).edges]
-        report, _ = solve_disk(
-            disk, BoundaryConstraint(pos, fixed=tuple(want)), budget
-        )
-        if not report.found:
+        solved = solve_disk(disk, pos, want, budget)
+        if solved is None:
             raise NoTableEntry("square disk cannot match the table entry")
-        _merge_disk(host, disk, report.coloring.as_partial(), out)
-    return _finish(host, frame, out, f"CRITICAL({variant})", trace, budget)
+        _merge_disk(host, disk, solved.as_partial(), out)
+    return _finish(host, frame, out, method, trace, budget)
 
 
 def _permute_vertices(emb: Embedding, coloring: PartialColoring, vperm) -> PartialColoring:
@@ -687,7 +627,7 @@ def reduce_pentagon_disk(
     raise NoTableEntry("pentagon reductions did not terminate")
 
 
-def _route_k6_54(host, frame, budget, trace) -> SolveReport:
+def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
     labeling = cat.labeling_cycles("k6-54")
     pent_cyc = frame.host_cycle(host, labeling["pentagon"])
     sq_cyc = frame.host_cycle(host, labeling["square"])
@@ -715,11 +655,11 @@ def _route_k6_54(host, frame, budget, trace) -> SolveReport:
     _merge_disk(host, pent_disk, coloring, out)
 
     want = [out[e] for e in sq_cyc.edges]
-    report, _ = solve_disk(sq_disk, BoundaryConstraint(sq_pos, fixed=tuple(want)), budget)
-    if not report.found:
+    solved = solve_disk(sq_disk, sq_pos, want, budget)
+    if solved is None:
         raise NoTableEntry("square disk cannot match the pentagon-aligned entry")
-    _merge_disk(host, sq_disk, report.coloring.as_partial(), out)
-    return _finish(host, frame, out, "CRITICAL(54)", trace, budget)
+    _merge_disk(host, sq_disk, solved.as_partial(), out)
+    return _finish(host, frame, out, method, trace, budget)
 
 
 def _majority_color(colors: Sequence[int]) -> int:
@@ -759,7 +699,7 @@ def reduce_hexagon_disk(
     raise NoTableEntry("hexagon reductions did not terminate")
 
 
-def _route_k6_hex(host, frame, budget, trace) -> SolveReport:
+def _route_k6_hex(host, frame, budget, trace, method) -> SolveReport:
     labeling = cat.labeling_cycles("k6-6")
     hex_cat = labeling["hexagon"]
     hex_cyc = frame.host_cycle(host, hex_cat)
@@ -778,12 +718,12 @@ def _route_k6_hex(host, frame, budget, trace) -> SolveReport:
         frame.cat_emb.num_edges,
         {ce: coloring[pe] for ce, pe in zip(hex_cat.edges, pos)},
     )
-    rep = solve_exact(frame.cat_emb, fixed=pinned, budget=budget.spawn())
-    if not rep.found:
+    frame_coloring = _found(solve_exact(frame.cat_emb, fixed=pinned, budget=budget))
+    if frame_coloring is None:
         raise NoTableEntry(f"frame cannot match hexagon class {cls.name}")
-    out = frame.transport(host, rep.coloring.as_partial())
+    out = frame.transport(host, frame_coloring.as_partial())
     _merge_disk(host, disk, coloring, out)
-    return _finish(host, frame, out, "CRITICAL(6)", trace, budget)
+    return _finish(host, frame, out, method, trace, budget)
 
 
 def _letter_colors(observed: Sequence[int], cls) -> dict[str, int]:
@@ -800,7 +740,7 @@ def _letter_colors(observed: Sequence[int], cls) -> dict[str, int]:
     return mapping
 
 
-def _route_quadface(host, frame, budget, trace) -> SolveReport:
+def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
     """Hosts of the two non-K6 critical graphs with a quadrilateral face."""
     variant = "H7K2" if frame.name == "h7k2" else "C3C5"
     labeling = cat.labeling_cycles(frame.name)
@@ -824,7 +764,7 @@ def _route_quadface(host, frame, budget, trace) -> SolveReport:
     perm = _color_perm(src, dst)
     out = frame.transport(host, entry.coloring.permuted(perm))
     _merge_disk(host, disk, coloring, out)
-    return _finish(host, frame, out, f"CRITICAL({variant})", trace, budget)
+    return _finish(host, frame, out, method, trace, budget)
 
 
 def _route_six_regular(host, frame_name, mapping, budget, trace, method) -> SolveReport:
@@ -835,24 +775,16 @@ def _route_six_regular(host, frame_name, mapping, budget, trace, method) -> Solv
     if not is_triangulation(sub):
         raise NoTableEntry(f"{method}: sub-embedding is not a triangulation")
     pair = next(embedding_isomorphisms(grid.embedding, sub), None)
-    if pair is not None:
-        vmap_gs, _rev = pair
-        role_coloring = altshuler_coloring(grid)
-        out = {}
-        for e in range(grid.embedding.num_edges):
-            u, v = grid.embedding.edge_ends(e)
-            he = host.edge_id(mapping[vmap_gs[u]], mapping[vmap_gs[v]])
-            out[he] = role_coloring[e]
-        trace.append("grid labeling recognized")
-    else:  # pragma: no cover - the embeddings are unique, so this is dead
-        rep = solve_exact(sub, budget=budget.spawn())
-        if not rep.found:
-            raise NoTableEntry(f"{method}: could not color sub-embedding")
-        out = {}
-        for e in range(sub.num_edges):
-            u, v = sub.edge_ends(e)
-            out[host.edge_id(mapping[u], mapping[v])] = rep.coloring[e]
-        trace.append("sub-embedding colored by search")
+    if pair is None:
+        raise NoTableEntry(f"{method}: sub-embedding is not the grid's embedding")
+    vmap_gs, _rev = pair
+    role_coloring = altshuler_coloring(grid)
+    out = {}
+    for e in range(grid.embedding.num_edges):
+        u, v = grid.embedding.edge_ends(e)
+        he = host.edge_id(mapping[vmap_gs[u]], mapping[vmap_gs[v]])
+        out[he] = role_coloring[e]
+    trace.append("grid labeling recognized")
     frame = Frame(frame_name, sub, tuple(mapping), False)
     return _finish(host, frame, out, method, trace, budget)
 
@@ -868,6 +800,10 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
     extension; hosts of a critical six-chromatic graph via its case
     machinery.  What remains is five-chromatic and goes to exhaustive
     search, which cannot claim anything beyond what it finds.
+
+    Every sub-search spends the one budget.  When it runs out, the report is
+    UNKNOWN, and its method and last trace entry name the stage: 4-coloring,
+    subgraph search, the route's method (e.g. K7) or exact search.
     """
     budget = budget or Budget()
     trace: list[str] = []
@@ -888,28 +824,20 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
                            trace=(f"recognized {grid_name}",))
 
     adj = emb.adjacency()
-
-    # a big clique rules out 4-colorability without an exhaustive proof
-    from .solver import _greedy_clique
-
-    clique = _greedy_clique(adj)
-    if len(clique) <= 4:
-        try:
-            vc = four_color_vertices(adj, budget=budget)
-        except BudgetExceeded:
-            vc = None
-            trace.append("4-coloring search hit the budget")
-        if vc is not None:
-            return _lift_report(emb, vc, budget, trace)
-        trace.append("not 4-colorable")
-    else:
-        trace.append(f"clique of size {len(clique)}")
-
+    stage = "4-coloring"
     try:
+        vc = four_color_vertices(adj, budget=budget)
+        if vc is not None:
+            return _verified_report(emb, tait_lift(emb, vc), "TAIT", trace, budget,
+                                    "tait lift")
+        trace.append("not 4-colorable")
+
+        stage = "subgraph search"
         k7 = find_subgraph(adj, "K7", budget=budget)
         if k7 is not None:
             trace.append("contains K7")
-            return _route_six_regular(emb, "k7", k7.mapping, budget, trace, "K7")
+            stage = "K7"
+            return _route_six_regular(emb, "k7", k7.mapping, budget, trace, stage)
 
         matches = [
             m
@@ -923,34 +851,38 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
         if matches:
             match = matches[0]
             trace.append(f"critical subgraph {match.pattern}")
+            if match.pattern == "C11^3":
+                stage = "CRITICAL(C11CUBED)"
+                return _route_six_regular(emb, "c11cubed", match.mapping, budget, trace, stage)
             if match.pattern == "K6":
                 frame = identify_k6_frame(emb, match.mapping)
                 trace.append(f"embedding variant {frame.name}")
-                if frame.name in ("k6-444a", "k6-444b"):
-                    return _route_k6_squares(emb, frame, budget, trace)
-                if frame.name == "k6-54":
-                    return _route_k6_54(emb, frame, budget, trace)
-                return _route_k6_hex(emb, frame, budget, trace)
-            if match.pattern == "C11^3":
-                return _route_six_regular(
-                    emb, "c11cubed", match.mapping, budget, trace, "CRITICAL(C11CUBED)"
+            else:
+                frame = match_frame(
+                    emb, "h7k2" if match.pattern == "H7+K2" else "c3c5", match.mapping
                 )
-            frame = match_frame(
-                emb, "h7k2" if match.pattern == "H7+K2" else "c3c5", match.mapping
-            )
-            return _route_quadface(emb, frame, budget, trace)
-    except BudgetExceeded as exc:
-        return SolveReport(UNKNOWN, trace=tuple(trace) + (str(exc),),
-                           nodes=budget.used_nodes)
+            stage = f"CRITICAL({frame.name.removeprefix('k6-').upper()})"
+            if frame.name in ("k6-444a", "k6-444b"):
+                return _route_k6_squares(emb, frame, budget, trace, stage)
+            if frame.name == "k6-54":
+                return _route_k6_54(emb, frame, budget, trace, stage)
+            if frame.name == "k6-6":
+                return _route_k6_hex(emb, frame, budget, trace, stage)
+            return _route_quadface(emb, frame, budget, trace, stage)
 
-    # five-chromatic territory: search, and say so
-    trace.append("no critical subgraph: five-chromatic, exhaustive search")
-    report = solve_exact(emb, budget=budget)
-    if report.found:
-        assert verify_grunbaum(emb, report.coloring).ok
-    return SolveReport(report.status, report.coloring, method="EXACT",
-                       trace=tuple(trace), nodes=budget.used_nodes,
-                       millis=report.millis)
+        # five-chromatic territory: search, and say so
+        trace.append("no critical subgraph: five-chromatic, exhaustive search")
+        stage = "exact search"
+        report = solve_exact(emb, budget=budget)
+        coloring = _found(report)
+    except BudgetExceeded as exc:
+        return SolveReport(UNKNOWN, method=stage, trace=(*trace, f"{stage}: {exc}"),
+                           nodes=budget.used_nodes)
+    if coloring is None:
+        return SolveReport(UNSAT, method="EXACT", trace=tuple(trace),
+                           nodes=budget.used_nodes, millis=report.millis)
+    return _verified_report(emb, coloring, "EXACT", trace, budget, "exact search",
+                            report.millis)
 
 
 def solve(emb, budget: Budget | None = None) -> SolveReport:

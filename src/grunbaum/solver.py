@@ -28,7 +28,11 @@ DEFAULT_TIME_BUDGET = 30.0
 
 @dataclass
 class Budget:
-    """Node and wall-clock limits shared by one solve."""
+    """Node and wall-clock limits shared by one solve.
+
+    Every sub-search of a solve ticks the same budget, so ``used_nodes``
+    counts the whole solve and one clock caps it.
+    """
 
     nodes: int = DEFAULT_NODE_BUDGET
     seconds: float = DEFAULT_TIME_BUDGET
@@ -41,9 +45,6 @@ class Budget:
             raise BudgetExceeded(f"node budget {self.nodes} exhausted")
         if self.used_nodes % 1024 == 0 and time.monotonic() - self.started > self.seconds:
             raise BudgetExceeded(f"time budget {self.seconds}s exhausted")
-
-    def spawn(self) -> "Budget":
-        return Budget(self.nodes, self.seconds)
 
 
 @dataclass
@@ -258,50 +259,6 @@ def solve_exact(
 
 def count_grunbaum_colorings(emb: Embedding, budget: Budget | None = None) -> int:
     return solve_exact(emb, mode="count", budget=budget)  # type: ignore[return-value]
-
-
-def solve_exact_split(
-    emb: Embedding,
-    fixed: PartialColoring | None = None,
-    mode: str = "find",
-    threads: int = 1,
-    budget: Budget | None = None,
-    exempt_faces: Iterable[int] = (),
-):
-    """Run solve_exact with the root branches split across worker threads.
-
-    The first uncolored edge is pinned to each color and the three subtrees
-    are explored independently; for "find" the lowest-color branch that
-    succeeds wins, so results match the sequential order, and for "count"
-    the subtree counts add up exactly.
-    """
-    budget = budget or Budget()
-    if threads <= 1 or mode == "enumerate":
-        return solve_exact(emb, fixed, mode, exempt_faces, budget)
-    fixed = fixed or PartialColoring.empty(emb.num_edges)
-    try:
-        pivot = next(e for e in range(emb.num_edges) if fixed[e] is None)
-    except StopIteration:
-        return solve_exact(emb, fixed, mode, exempt_faces, budget)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    def run(color: int):
-        return solve_exact(
-            emb, fixed.recolored({pivot: color}), mode, exempt_faces, budget.spawn()
-        )
-
-    with ThreadPoolExecutor(max_workers=min(threads, len(COLORS))) as pool:
-        results = list(pool.map(run, COLORS))
-    if mode == "count":
-        return sum(results)
-    for report in results:
-        if report.found:
-            return report
-    if any(r.status == UNKNOWN for r in results):
-        unknown = next(r for r in results if r.status == UNKNOWN)
-        return unknown
-    return results[0]
 
 
 # -- vertex coloring --------------------------------------------------------------

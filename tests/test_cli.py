@@ -3,7 +3,13 @@ import json
 import pytest
 
 from grunbaum.cli import main
-from grunbaum.catalog import gen_k6, gen_named
+from grunbaum.catalog import (
+    catalog_embedding,
+    gen_k6,
+    gen_named,
+    random_refinement,
+    triangulate_faces,
+)
 from grunbaum.fileio import read_coloring, read_embedding, write_embedding
 
 
@@ -196,10 +202,17 @@ def test_budget_before_subcommand_reaches_search(capsys, tmp_path, monkeypatch):
     assert json.loads(capsys.readouterr().out)["status"] == "FOUND"
 
 
-@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
-def test_threads_zero_rejected_either_side(k6_54_file, before):
-    argv = (["--threads", "0", "faces", k6_54_file] if before
-            else ["faces", k6_54_file, "--threads", "0"])
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_budget_exhausted_inside_a_route_is_unknown(capsys, tmp_path):
+    # a 22-vertex host on the K7 route: 30 nodes solve it; with fewer the
+    # budget runs out in the subgraph search or in the route's disk solves
+    host = random_refinement(triangulate_faces(catalog_embedding("k6-6")), 15, seed=3)
+    path = tmp_path / "k7host.emb"
+    write_embedding(host, path)
+    for budget, stage in ((6, "subgraph search"), (10, "K7"), (29, "K7")):
+        assert main(["--json", "--budget", str(budget), "solve", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "UNKNOWN" and doc["method"] == stage
+        assert doc["trace"][-1].startswith(f"{stage}: ")
+        assert doc["trace"][-1].endswith(f"node budget {budget} exhausted")
+    assert main(["--json", "--budget", "30", "solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "FOUND"

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from grunbaum.catalog import (
+    catalog_embedding,
     enumerate_disks,
     gen_altshuler,
     gen_k6,
@@ -20,9 +24,14 @@ from grunbaum.embedding import (
     stellate_face,
     trace_faces,
 )
-from grunbaum.errors import NoTableEntry, NotARefinement, NotAGridLabeling
+from grunbaum.errors import (
+    BudgetExceeded,
+    NoTableEntry,
+    NotARefinement,
+    NotAGridLabeling,
+    VerificationFailed,
+)
 from grunbaum.pipeline import (
-    BoundaryConstraint,
     achievable_square_kinds,
     altshuler_coloring,
     apex_solve,
@@ -38,7 +47,7 @@ from grunbaum.pipeline import (
 )
 from grunbaum import pipeline
 from grunbaum.coloring import EdgeColoring
-from grunbaum.solver import solve_exact
+from grunbaum.solver import Budget, solve_exact
 
 K4 = build_embedding([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 
@@ -46,6 +55,31 @@ K4 = build_embedding([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 def _disk_with_positions(disk):
     # boundary edge ids in walk order serve as the labeling positions
     return disk, tuple(d >> 1 for d in disk.boundary_darts)
+
+
+def _wheel_square():
+    wheel = next(
+        d for d in enumerate_disks(4, 1)
+        if d.interior_vertex_count() == 1 and d.embedding.degree(4) == 4
+    )
+    return _disk_with_positions(wheel)
+
+
+def _route_host(name):
+    """A triangulated catalog embedding with 15 seeded stellations."""
+    return random_refinement(triangulate_faces(catalog_embedding(name)), 15, seed=3)
+
+
+def _hexagon_hosts():
+    """K6 on the torus with its hexagon filled by each non-dominating disk."""
+    import sys
+    sys.path.insert(0, "tests")
+    from corpus import nondominating_hexagon_disks
+
+    e6 = gen_k6("6")
+    fs = trace_faces(e6)
+    hexf = next(f for f in range(fs.num_faces) if fs.size(f) == 6)
+    return [splice_disk(e6, hexf, disk) for disk in nondominating_hexagon_disks(2)]
 
 
 def test_solve_planar_routes():
@@ -77,11 +111,7 @@ def test_grid_recognition():
 
 def test_wheel_square_disk_types():
     # the 4-wheel interior achieves C plus exactly one of B1/B2
-    wheel = next(
-        d for d in enumerate_disks(4, 1)
-        if d.interior_vertex_count() == 1 and d.embedding.degree(4) == 4
-    )
-    disk, pos = _disk_with_positions(wheel)
+    disk, pos = _wheel_square()
     kinds = achievable_square_kinds(disk, pos)
     assert kinds == frozenset({"C", "B1", "B2"})
     assert square_disk_type(kinds) == 3
@@ -96,30 +126,14 @@ def test_diagonal_square_disk_types():
     assert square_disk_type(kinds) in (1, 2)
 
 
-def test_solve_disk_with_kind_constraint():
-    wheel = next(
-        d for d in enumerate_disks(4, 1)
-        if d.interior_vertex_count() == 1 and d.embedding.degree(4) == 4
-    )
-    disk, pos = _disk_with_positions(wheel)
-    report, achieved = solve_disk(disk, BoundaryConstraint(pos, kinds=frozenset({"C"})))
-    assert report.found and achieved == "C"
-    assert classify_square([report.coloring[p] for p in pos]).kind == "C"
-
-    report, achieved = solve_disk(
-        disk, BoundaryConstraint(pos, kinds=frozenset({"A"}))
-    )
-    assert not report.found and achieved is None
-
-
 def test_solve_disk_fixed_boundary():
     diag = next(d for d in enumerate_disks(4, 0))
     disk, pos = _disk_with_positions(diag)
     kinds = achievable_square_kinds(disk, pos)
     pattern = (0, 1, 0, 1)
-    report, _ = solve_disk(disk, BoundaryConstraint(pos, fixed=pattern))
-    assert report.found
-    assert tuple(report.coloring[p] for p in pos) == pattern
+    coloring = solve_disk(disk, pos, pattern)
+    assert coloring is not None
+    assert tuple(coloring[p] for p in pos) == pattern
 
 
 def test_apex_solve_parity():
@@ -212,15 +226,7 @@ def test_solve_torus_methods():
 
 
 def test_solve_torus_hexagon_route():
-    import sys
-    sys.path.insert(0, "tests")
-    from corpus import nondominating_hexagon_disks
-
-    e6 = gen_k6("6")
-    fs = trace_faces(e6)
-    hexf = next(f for f in range(fs.num_faces) if fs.size(f) == 6)
-    for disk in nondominating_hexagon_disks(2):
-        g = splice_disk(e6, hexf, disk)
+    for g in _hexagon_hosts():
         report = solve_torus(g)
         assert report.found and report.method == "CRITICAL(6)"
         assert verify_grunbaum(g, report.coloring).ok
@@ -291,3 +297,112 @@ def test_quad_apex_never_alternating():
             u, v = g.tail(d), g.head(d)
             boundary.append(coloring[disk.embedding.edge_id(back[u], back[v])])
         assert classify_square(boundary).kind in ("C", "B1", "B2")
+
+
+# -- one budget per solve -------------------------------------------------------------
+
+
+def test_square_kinds_budget_is_not_a_missing_kind():
+    # an exhausted budget must raise, not read as "kind not achievable",
+    # which leaves the disk with too few kinds or none
+    disk, pos = _wheel_square()
+    for nodes in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            achievable_square_kinds(disk, pos, Budget(nodes=nodes))
+
+
+def test_apex_solve_budget_raises_budget_exceeded():
+    pent = next(d for d in enumerate_disks(5, 2) if d.interior_vertex_count() == 2)
+    with pytest.raises(BudgetExceeded):
+        apex_solve(pent, Budget(nodes=1))
+
+
+def _unknown_stage(report):
+    assert report.status == "UNKNOWN" and report.coloring is None
+    stage, _, message = report.trace[-1].partition(": ")
+    assert report.method == stage
+    return stage, message
+
+
+@pytest.mark.parametrize("name", ["k6-444a", "k6-54", "k6-6", "h7k2", "c3c5"])
+def test_any_budget_ends_found_or_unknown(name):
+    # 7,327 (h7k2) and 9,601 (c3c5) run out inside a route's disk solves
+    host = _route_host(name)
+    total = solve(host).nodes
+    budgets = {1, 2, total - 1, total, 7327, 9601, *range(1, total, total // 16)}
+    for nodes in sorted(b for b in budgets if b <= total):
+        report = solve(host, Budget(nodes=nodes))
+        if nodes == total:
+            assert report.found and verify_grunbaum(host, report.coloring).ok
+        else:
+            _, message = _unknown_stage(report)
+            assert message.endswith(f"node budget {nodes} exhausted"), report.trace
+
+
+ROUTE_HOSTS = {
+    "TAIT": lambda: random_refinement(gen_altshuler(3, 6, 0).embedding, 1, seed=0),
+    "K7": lambda: _route_host("k6-6"),
+    "CRITICAL(444A)": lambda: triangulate_faces(catalog_embedding("k6-444a")),
+    "CRITICAL(444B)": lambda: triangulate_faces(catalog_embedding("k6-444b")),
+    "CRITICAL(54)": lambda: triangulate_faces(catalog_embedding("k6-54")),
+    "CRITICAL(6)": lambda: _hexagon_hosts()[0],
+    "CRITICAL(H7K2)": lambda: triangulate_faces(catalog_embedding("h7k2")),
+    "CRITICAL(C3C5)": lambda: triangulate_faces(catalog_embedding("c3c5")),
+    "CRITICAL(C11CUBED)": lambda: random_refinement(gen_named("C11^3").embedding, 2, seed=2),
+    "EXACT": lambda: random_refinement(gen_altshuler(3, 3, 1).embedding, 2, seed=0),
+}
+LAST_STAGE = {"TAIT": "4-coloring", "EXACT": "exact search"}
+
+
+@pytest.mark.parametrize("method", list(ROUTE_HOSTS))
+def test_stats_nodes_count_the_whole_solve(method):
+    host = ROUTE_HOSTS[method]()
+    report = solve(host)
+    assert report.found and report.method == method
+    replay = solve(host, Budget(nodes=report.nodes))
+    assert replay.found and replay.coloring == report.coloring
+    stage, message = _unknown_stage(solve(host, Budget(nodes=report.nodes - 1)))
+    assert stage == LAST_STAGE.get(method, method)
+    assert message.endswith(f"node budget {report.nodes - 1} exhausted")
+
+
+def test_failed_extension_is_not_reported_found(monkeypatch):
+    real_apex = pipeline.apex_solve
+
+    def bad_apex(disk, budget=None):
+        coloring = real_apex(disk, budget)
+        boundary = set(disk.boundary_edges)
+        e = next(e for e in range(disk.embedding.num_edges) if e not in boundary)
+        return coloring.recolored({e: (coloring[e] + 1) % 3})
+
+    monkeypatch.setattr(pipeline, "apex_solve", bad_apex)
+    k7 = gen_named("K7")
+    with pytest.raises(VerificationFailed):
+        extend_into_faces(k7, solve_exact(k7).coloring, random_refinement(k7, 9, seed=4))
+    report = solve_torus(_route_host("k6-6"))
+    assert _unknown_stage(report) == ("K7", "coloring failed verification")
+
+
+def test_failed_exact_coloring_is_not_reported_found(monkeypatch):
+    real_exact = pipeline.solve_exact
+
+    def bad_exact(emb, *args, **kwargs):
+        report = real_exact(emb, *args, **kwargs)
+        report.coloring = report.coloring.recolored({0: (report.coloring[0] + 1) % 3})
+        return report
+
+    monkeypatch.setattr(pipeline, "solve_exact", bad_exact)
+    report = solve_torus(ROUTE_HOSTS["EXACT"]())
+    assert _unknown_stage(report) == ("exact search", "coloring failed verification")
+
+
+def test_package_has_no_assert_statements():
+    # checks written as assert vanish under python -O
+    src = Path(pipeline.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -13,7 +13,6 @@ from grunbaum.solver import (
     count_grunbaum_colorings,
     four_color_vertices,
     solve_exact,
-    solve_exact_split,
 )
 
 K4 = build_embedding([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
@@ -70,13 +69,8 @@ def test_budget_exhaustion_reports_unknown():
 
 
 def test_split_solve_agrees():
-    seq = count_grunbaum_colorings(K4)
-    assert solve_exact_split(K4, mode="count", threads=3) == seq
-    rep = solve_exact_split(K4, threads=3)
-    assert rep.found and verify_grunbaum(K4, rep.coloring).ok
-
     k7 = gen_named("K7")
-    assert solve_exact_split(k7, mode="count", threads=3) == 48
+    assert count_grunbaum_colorings(k7) == 48
 
 
 def brute_force_chromatic_number(adj):
