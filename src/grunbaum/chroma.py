@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .catalog import catalog_embedding
-from .errors import ClassificationAnomaly
+from .errors import BudgetExceeded, ChromaticUnknown, ClassificationAnomaly
 from .solver import Budget, _greedy_clique, color_vertices_k
 
 
@@ -14,7 +14,9 @@ def chromatic_number(adj: Sequence[set[int]], budget: Budget | None = None) -> i
     """Exact chromatic number by iterative deepening.
 
     A greedy clique provides the starting point; each k is settled by an
-    exhaustive DSATUR-ordered search, so the first feasible k is exact.
+    exhaustive DSATUR-ordered search, so the first feasible k is exact.  If
+    the budget runs out, ChromaticUnknown carries the k being tried, which
+    is a lower bound.
     """
     n = len(adj)
     if n == 0:
@@ -24,8 +26,11 @@ def chromatic_number(adj: Sequence[set[int]], budget: Budget | None = None) -> i
     budget = budget or Budget()
     k = max(2, len(_greedy_clique(adj)))
     while True:
-        if color_vertices_k(adj, k, budget=budget) is not None:
-            return k
+        try:
+            if color_vertices_k(adj, k, budget=budget) is not None:
+                return k
+        except BudgetExceeded as exc:
+            raise ChromaticUnknown(str(exc), at_least=k) from exc
         k += 1
 
 
@@ -139,24 +144,44 @@ def find_subgraph(
     return None
 
 
-# searched densest first: an early hit short-circuits the rest
-PATTERN_ORDER = ("K7", "K6", "C11^3", "H7+K2", "C3+C5")
 CRITICAL_PATTERNS = ("K6", "C3+C5", "H7+K2", "C11^3")
 
 
-def classify_six_chromatic(
+def five_core(adj: Sequence[set[int]]) -> list[set[int]]:
+    """The 5-core of a graph, on the same vertex ids.
+
+    Vertices of degree below 5 are peeled until none is left; a peeled
+    vertex keeps its id and gets an empty neighbour set.  Every pattern of
+    the dispatch has minimum degree at least 5, so each of its embeddings
+    lies in the 5-core.  find_subgraph tries host vertices in id order, so
+    its first match on the core, mapping included, is its first match on
+    the whole graph.
+    """
+    core = [set(a) for a in adj]
+    peel = [v for v, a in enumerate(core) if len(a) < 5]
+    while peel:
+        v = peel.pop()
+        for w in core[v]:
+            core[w].discard(v)
+            if len(core[w]) == 4:
+                peel.append(w)
+        core[v].clear()
+    return core
+
+
+def dispatch_match(
     host_adj: Sequence[set[int]], budget: Budget | None = None
 ) -> SubgraphMatch:
-    """Which of the four critical six-chromatic graphs is contained.
+    """K7 if the host contains it, else its one critical six-chromatic graph.
 
-    Exactly one must match on a six-chromatic torus graph; zero or several
-    matches falsify the classification this package relies on and raise
-    ClassificationAnomaly with the full evidence.  A host containing K7 is
-    not six-chromatic and is rejected as a precondition violation.
+    Exactly one of the four critical graphs must match a six-chromatic torus
+    graph; zero or several matches falsify the classification this package
+    relies on and raise ClassificationAnomaly with the full evidence.
     """
     budget = budget or Budget()
-    if find_subgraph(host_adj, "K7", budget=budget) is not None:
-        raise ValueError("host contains K7, so it is not six-chromatic")
+    k7 = find_subgraph(host_adj, "K7", budget=budget)
+    if k7 is not None:
+        return k7
     matches = [
         m
         for p in CRITICAL_PATTERNS
@@ -168,3 +193,17 @@ def classify_six_chromatic(
             f"{[m.pattern for m in matches]}"
         )
     return matches[0]
+
+
+def classify_six_chromatic(
+    host_adj: Sequence[set[int]], budget: Budget | None = None
+) -> SubgraphMatch:
+    """Which of the four critical six-chromatic graphs is contained.
+
+    As dispatch_match; a host containing K7 is not six-chromatic and is
+    rejected as a precondition violation.
+    """
+    match = dispatch_match(host_adj, budget)
+    if match.pattern == "K7":
+        raise ValueError("host contains K7, so it is not six-chromatic")
+    return match

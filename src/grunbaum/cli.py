@@ -13,7 +13,7 @@ import sys
 from . import catalog as cat
 from .coloring import kempe_change, verify_grunbaum, verify_partial
 from .embedding import genus, is_triangulation, trace_faces
-from .errors import GrunbaumError
+from .errors import ChromaticUnknown, GrunbaumError
 from .fileio import (
     FormatError,
     read_coloring,
@@ -134,7 +134,15 @@ def cmd_gen(args) -> int:
 
 def cmd_chromatic(args) -> int:
     emb = read_embedding(args.file)
-    chi = chromatic_number(emb.adjacency(), budget=_budget(args))
+    try:
+        chi = chromatic_number(emb.adjacency(), budget=_budget(args))
+    except ChromaticUnknown as exc:
+        if args.json:
+            print(json.dumps({"chromatic_number": None, "at_least": exc.at_least,
+                              "reason": str(exc)}))
+        else:
+            print(f"unknown, at least {exc.at_least} ({exc})")
+        return 1
     print(json.dumps({"chromatic_number": chi}) if args.json else chi)
     return 0
 

@@ -426,12 +426,3 @@ def parity_check(
             raise ColoringIncomplete(f"cycle edge {e} is uncolored")
         counts[c] += 1
     return all(v % 2 == n % 2 for v in counts.values())
-
-
-def cycle_colors(
-    cycle: FaceCycle, coloring: EdgeColoring | PartialColoring
-) -> tuple[int, ...]:
-    cs = tuple(coloring[e] for e in cycle.edges)
-    if None in cs:
-        raise ColoringIncomplete("cycle has uncolored edges")
-    return cs  # type: ignore[return-value]

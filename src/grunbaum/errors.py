@@ -73,6 +73,17 @@ class BudgetExceeded(GrunbaumError):
     """Node or time budget exhausted before an answer was reached."""
 
 
+class ChromaticUnknown(BudgetExceeded):
+    """Budget exhausted before a chromatic number was settled.
+
+    ``at_least`` is the lower bound proved so far.
+    """
+
+    def __init__(self, message: str, at_least: int):
+        super().__init__(message)
+        self.at_least = at_least
+
+
 class NotAGridLabeling(GrunbaumError):
     """Edge roles are missing or inconsistent with a grid structure."""
 

@@ -103,8 +103,3 @@ def embeddings_isomorphic(e1: Embedding, e2: Embedding) -> bool:
     """True if some vertex bijection carries one rotation system to the other,
     up to global orientation reversal."""
     return next(embedding_isomorphisms(e1, e2), None) is not None
-
-
-def embedding_automorphisms(e: Embedding) -> list[tuple[list[int], bool]]:
-    """All automorphisms (vertex map, orientation-reversed flag)."""
-    return list(embedding_isomorphisms(e, e))

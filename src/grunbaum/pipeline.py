@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import catalog as cat
-from .chroma import CRITICAL_PATTERNS, find_subgraph
+from .chroma import dispatch_match, five_core
 from .coloring import (
     COLORS,
     EdgeColoring,
@@ -38,7 +38,6 @@ from .embedding import (
 )
 from .errors import (
     BudgetExceeded,
-    ClassificationAnomaly,
     NoTableEntry,
     NotAGridLabeling,
     NotARefinement,
@@ -48,7 +47,16 @@ from .errors import (
     VerificationFailed,
 )
 from .isomorphism import embedding_isomorphisms
-from .solver import FOUND, UNKNOWN, UNSAT, Budget, SolveReport, four_color_vertices, solve_exact
+from .solver import (
+    FOUND,
+    UNKNOWN,
+    UNSAT,
+    Budget,
+    SolveReport,
+    color_vertices_k,
+    four_color_vertices,
+    solve_exact,
+)
 
 # -- grid coloring -----------------------------------------------------------------
 
@@ -801,6 +809,13 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
     machinery.  What remains is five-chromatic and goes to exhaustive
     search, which cannot claim anything beyond what it finds.
 
+    After a failed 4-coloring, one 5-coloring gates the subgraph search.  K7
+    and the four critical graphs are six-chromatic, so a 5-colorable host
+    contains none of them and goes straight to exhaustive search.  Otherwise
+    the patterns (minimum degree >= 5) are searched on the host's 5-core,
+    which yields the same first match as the whole host; exactly one match
+    is expected, and zero or several raise ClassificationAnomaly.
+
     Every sub-search spends the one budget.  When it runs out, the report is
     UNKNOWN, and its method and last trace entry name the stage: 4-coloring,
     subgraph search, the route's method (e.g. K7) or exact search.
@@ -833,23 +848,12 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
         trace.append("not 4-colorable")
 
         stage = "subgraph search"
-        k7 = find_subgraph(adj, "K7", budget=budget)
-        if k7 is not None:
-            trace.append("contains K7")
-            stage = "K7"
-            return _route_six_regular(emb, "k7", k7.mapping, budget, trace, stage)
-
-        matches = [
-            m
-            for p in CRITICAL_PATTERNS
-            if (m := find_subgraph(adj, p, budget=budget)) is not None
-        ]
-        if len(matches) > 1:
-            raise ClassificationAnomaly(
-                f"several critical subgraphs match: {[m.pattern for m in matches]}"
-            )
-        if matches:
-            match = matches[0]
+        if color_vertices_k(adj, 5, budget=budget) is None:
+            match = dispatch_match(five_core(adj), budget)
+            if match.pattern == "K7":
+                trace.append("contains K7")
+                stage = "K7"
+                return _route_six_regular(emb, "k7", match.mapping, budget, trace, stage)
             trace.append(f"critical subgraph {match.pattern}")
             if match.pattern == "C11^3":
                 stage = "CRITICAL(C11CUBED)"

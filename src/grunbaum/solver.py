@@ -40,9 +40,9 @@ class Budget:
     started: float = field(default_factory=time.monotonic)
 
     def tick(self):
-        self.used_nodes += 1
-        if self.used_nodes > self.nodes:
+        if self.used_nodes >= self.nodes:
             raise BudgetExceeded(f"node budget {self.nodes} exhausted")
+        self.used_nodes += 1
         if self.used_nodes % 1024 == 0 and time.monotonic() - self.started > self.seconds:
             raise BudgetExceeded(f"time budget {self.seconds}s exhausted")
 

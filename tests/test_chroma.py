@@ -6,9 +6,11 @@ from grunbaum.chroma import (
     classify_six_chromatic,
     complete_graph,
     find_subgraph,
+    five_core,
     pattern_graph,
 )
-from grunbaum.errors import ClassificationAnomaly
+from grunbaum.errors import ChromaticUnknown, ClassificationAnomaly
+from grunbaum.solver import Budget
 
 
 def test_chromatic_table():
@@ -87,3 +89,37 @@ def test_criticality_of_catalog_graphs():
             smaller[u].discard(v)
             smaller[v].discard(u)
             assert chromatic_number(smaller) <= 5
+
+
+def test_patterns_have_minimum_degree_five():
+    # the 5-core restriction of the dispatch rests on this
+    for name in ("K7", "K6", "C3+C5", "H7+K2", "C11^3"):
+        assert min(len(a) for a in pattern_graph(name)) >= 5, name
+
+
+def test_five_core_peels_in_cascade():
+    # K6 with a path 5-6-7 hung on it: 7 goes, then 6; K6 stays whole
+    adj = complete_graph(6) + [set(), set()]
+    for u, v in ((5, 6), (6, 7)):
+        adj[u].add(v)
+        adj[v].add(u)
+    core = five_core(adj)
+    assert core[:6] == complete_graph(6)
+    assert core[6] == core[7] == set()
+    assert adj[5] == {0, 1, 2, 3, 4, 6}  # the input is left as it was
+
+
+def test_chromatic_unknown_carries_lower_bound():
+    # C11^3 holds a K4, so the search starts at 4 colors and chi >= 4 is
+    # proved before any node; every bound stays below the true value 6
+    c11 = pattern_graph("C11^3")
+    with pytest.raises(ChromaticUnknown) as info:
+        chromatic_number(c11, Budget(nodes=3))
+    assert info.value.at_least == 4
+    bounds = set()
+    for nodes in range(0, 400, 7):
+        try:
+            assert chromatic_number(c11, Budget(nodes=nodes)) == 6
+        except ChromaticUnknown as exc:
+            bounds.add(exc.at_least)
+    assert bounds == {4, 5, 6}

@@ -216,3 +216,29 @@ def test_budget_exhausted_inside_a_route_is_unknown(capsys, tmp_path):
         assert doc["trace"][-1].endswith(f"node budget {budget} exhausted")
     assert main(["--json", "--budget", "30", "solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "FOUND"
+
+
+@pytest.fixture
+def ico_file(tmp_path):
+    path = tmp_path / "ico.emb"
+    write_embedding(gen_named("icosahedron"), path)
+    return str(path)
+
+
+def test_unknown_reports_no_more_nodes_than_the_budget(capsys, ico_file):
+    assert main(["--budget", "3", "solve", ico_file]) == 1
+    out = capsys.readouterr().out
+    assert "UNKNOWN" in out and "nodes: 3 " in out
+    assert main(["--json", "--budget", "3", "solve", ico_file]) == 1
+    assert json.loads(capsys.readouterr().out)["stats"]["nodes"] == 3
+
+
+def test_chromatic_exhausted_budget_is_unknown(capsys, ico_file):
+    # the greedy clique is a triangle, so 3 colors are tried first
+    assert main(["--budget", "2", "chromatic", ico_file]) == 1
+    assert capsys.readouterr().out.startswith("unknown, at least 3")
+    assert main(["--json", "--budget", "2", "chromatic", ico_file]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["chromatic_number"] is None and doc["at_least"] == 3
+    assert main(["chromatic", ico_file]) == 0
+    assert capsys.readouterr().out.strip() == "4"

@@ -12,6 +12,7 @@ from grunbaum.catalog import (
     random_refinement,
     triangulate_faces,
 )
+from grunbaum.chroma import CRITICAL_PATTERNS, find_subgraph, five_core
 from grunbaum.coloring import (
     classify_pentagon,
     classify_square,
@@ -26,6 +27,7 @@ from grunbaum.embedding import (
 )
 from grunbaum.errors import (
     BudgetExceeded,
+    ClassificationAnomaly,
     NoTableEntry,
     NotARefinement,
     NotAGridLabeling,
@@ -45,10 +47,11 @@ from grunbaum.pipeline import (
     solve_torus,
     square_disk_type,
 )
-from grunbaum import pipeline
+from grunbaum import chroma, pipeline
 from grunbaum.coloring import EdgeColoring
-from grunbaum.solver import Budget, solve_exact
+from grunbaum.solver import Budget, color_vertices_k, four_color_vertices, solve_exact
 
+DISPATCH_PATTERNS = ("K7", *CRITICAL_PATTERNS)
 K4 = build_embedding([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 
 
@@ -326,17 +329,35 @@ def _unknown_stage(report):
 
 @pytest.mark.parametrize("name", ["k6-444a", "k6-54", "k6-6", "h7k2", "c3c5"])
 def test_any_budget_ends_found_or_unknown(name):
-    # 7,327 (h7k2) and 9,601 (c3c5) run out inside a route's disk solves
     host = _route_host(name)
-    total = solve(host).nodes
-    budgets = {1, 2, total - 1, total, 7327, 9601, *range(1, total, total // 16)}
-    for nodes in sorted(b for b in budgets if b <= total):
+    full = solve(host)
+    total, route = full.nodes, full.method
+
+    def outcome(nodes):
         report = solve(host, Budget(nodes=nodes))
         if nodes == total:
             assert report.found and verify_grunbaum(host, report.coloring).ok
+            return route
+        stage, message = _unknown_stage(report)
+        assert message.endswith(f"node budget {nodes} exhausted"), report.trace
+        return stage
+
+    # the fewest nodes that reach the route's own stage, by bisection
+    lo, hi = 0, total - 1
+    assert outcome(hi) == route
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outcome(mid) == route:
+            hi = mid
         else:
-            _, message = _unknown_stage(report)
-            assert message.endswith(f"node budget {nodes} exhausted"), report.trace
+            lo = mid
+    budgets = {1, 2, total - 1, total, hi, (hi + total) // 2,
+               *range(1, total, total // 16)}
+    stages = {nodes: outcome(nodes) for nodes in sorted(budgets)}
+    # stages only move forward: every budget from the route's first node on
+    # runs out inside the route, e.g. in its disk solves
+    assert all((stage == route) == (nodes >= hi) for nodes, stage in stages.items())
+    assert hi < (hi + total) // 2 < total
 
 
 ROUTE_HOSTS = {
@@ -406,3 +427,70 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# -- the 5-coloring gate and the 5-core ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gate_hosts():
+    """Adjacency, 5-colorability and full-host first matches of the test
+    corpus's torus hosts and the route hosts."""
+    from corpus import five_chromatic_instances, toroidal_corpus
+
+    graphs = [inst.graph for inst in (*toroidal_corpus(), *five_chromatic_instances())]
+    graphs += [_route_host(n) for n in ("k6-444a", "k6-54", "k6-6", "h7k2", "c3c5")]
+    graphs += [make() for make in ROUTE_HOSTS.values()]
+    hosts = []
+    for g in graphs:
+        adj = g.adjacency()
+        matches = {p: find_subgraph(adj, p) for p in DISPATCH_PATTERNS}
+        hosts.append((adj, color_vertices_k(adj, 5) is not None, matches))
+    return hosts
+
+
+def test_five_core_keeps_the_first_match(gate_hosts):
+    hits = 0
+    for adj, _, matches in gate_hosts:
+        core = five_core(adj)
+        for p in DISPATCH_PATTERNS:
+            assert find_subgraph(core, p) == matches[p]
+            hits += matches[p] is not None
+    assert hits > 50
+
+
+def test_five_colorable_hosts_hold_no_pattern(gate_hosts):
+    gated = [(adj, matches) for adj, five_colorable, matches in gate_hosts
+             if five_colorable]
+    assert len(gated) > 100
+    assert any(four_color_vertices(adj) is None for adj, _ in gated)
+    for _, matches in gated:
+        assert all(m is None for m in matches.values())
+
+
+def test_gated_host_runs_no_subgraph_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_subgraph called on a 5-colorable host")
+
+    monkeypatch.setattr(chroma, "find_subgraph", no_search)
+    report = solve_torus(ROUTE_HOSTS["EXACT"]())
+    assert report.found and report.method == "EXACT"
+    assert report.trace[-1] == "no critical subgraph: five-chromatic, exhaustive search"
+
+
+def test_miss_after_failed_five_coloring_is_an_anomaly(monkeypatch):
+    # a host that is not 5-colorable is six-chromatic: finding no pattern
+    # contradicts the classification and must not read as five-chromatic
+    host = ROUTE_HOSTS["CRITICAL(H7K2)"]()
+    monkeypatch.setattr(chroma, "find_subgraph", lambda *args, **kwargs: None)
+    with pytest.raises(ClassificationAnomaly):
+        solve_torus(host)
+
+
+def test_gate_runs_out_as_subgraph_search():
+    host = ROUTE_HOSTS["EXACT"]()
+    spent = Budget()
+    assert four_color_vertices(host.adjacency(), budget=spent) is None
+    nodes = spent.used_nodes + 1
+    report = solve(host, Budget(nodes=nodes))
+    assert _unknown_stage(report) == ("subgraph search", f"node budget {nodes} exhausted")
