@@ -140,9 +140,6 @@ class Embedding:
     def dart_edge(d: int) -> int:
         return d >> 1
 
-    def rotation_successor(self, d: int) -> int:
-        return self._succ[d]
-
     def face_next(self, d: int) -> int:
         """Next dart of the face containing d."""
         return self._succ[d ^ 1]

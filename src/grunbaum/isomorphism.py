@@ -73,23 +73,19 @@ def _try_anchor(
 
 
 def embedding_isomorphisms(
-    e1: Embedding, e2: Embedding, orientation: str = "both"
+    e1: Embedding, e2: Embedding
 ) -> Iterator[tuple[list[int], bool]]:
-    """Yield (vertex_map, reversed) pairs for every rooted match found.
-
-    ``orientation`` is "preserve", "reverse", or "both".  Duplicate maps may
-    be yielded when the embedding has symmetries; callers dedupe if needed.
-    """
+    """Yield (vertex_map, reversed) once for every rooted match found,
+    orientation-preserving maps first."""
     if (
         e1.num_vertices != e2.num_vertices
         or e1.num_edges != e2.num_edges
         or sorted(map(len, e1.rotations)) != sorted(map(len, e2.rotations))
     ):
         return
-    flags = {"preserve": (False,), "reverse": (True,), "both": (False, True)}[orientation]
     d1 = 0
     seen = set()
-    for reverse in flags:
+    for reverse in (False, True):
         for d2 in range(e2.num_darts):
             vmap = _try_anchor(e1, e2, d1, d2, reverse)
             if vmap is not None:

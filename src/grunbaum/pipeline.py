@@ -10,7 +10,9 @@ reported honestly as FOUND or UNKNOWN, never as a theory claim.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from . import catalog as cat
@@ -140,7 +142,6 @@ def _verified_report(
     trace: list[str],
     budget: Budget,
     stage: str,
-    millis: float = 0.0,
 ) -> SolveReport:
     """FOUND only once the coloring passes verification; otherwise UNKNOWN,
     named after the stage that built the coloring."""
@@ -149,7 +150,7 @@ def _verified_report(
                            trace=(*trace, f"{stage}: coloring failed verification"),
                            nodes=budget.used_nodes)
     return SolveReport(FOUND, coloring, method=method, trace=tuple(trace),
-                       nodes=budget.used_nodes, millis=millis)
+                       nodes=budget.used_nodes)
 
 
 def _found(report: SolveReport) -> EdgeColoring | None:
@@ -174,20 +175,15 @@ def extract_region(emb: Embedding, cycle: FaceCycle) -> Disk:
         return extract_disk(emb, cycle, "exterior")
 
 
-def disk_edge_of_host(disk: Disk, host: Embedding, host_edge: int) -> int:
-    u, v = host.edge_ends(host_edge)
+def _cycle_disk(host: Embedding, cycle: FaceCycle) -> tuple[Disk, tuple[int, ...]]:
+    """The disk bounded by a host cycle, and the disk edge ids of the
+    cycle's edges in cycle order."""
+    disk = extract_region(host, cycle)
     back = {h: i for i, h in enumerate(disk.to_host)}
-    return disk.embedding.edge_id(back[u], back[v])
-
-
-def _host_positions(disk: Disk, host: Embedding, cycle: FaceCycle) -> tuple[int, ...]:
-    """Disk edge ids of the labeling cycle's edges, in labeling order."""
-    back = {h: i for i, h in enumerate(disk.to_host)}
-    out = []
-    for d in cycle.darts:
-        u, v = host.tail(d), host.head(d)
-        out.append(disk.embedding.edge_id(back[u], back[v]))
-    return tuple(out)
+    return disk, tuple(
+        disk.embedding.edge_id(back[host.tail(d)], back[host.head(d)])
+        for d in cycle.darts
+    )
 
 
 def apex_solve(disk: Disk, budget: Budget | None = None) -> PartialColoring:
@@ -353,13 +349,20 @@ def apply_case_table(variant: str, observed) -> CaseEntry:
 
 # -- frames: a catalog embedding matched inside a host ------------------------------
 
+# the six-regular frames, colored by edge role: frame name -> grid parameters
+_GRID_FRAMES = {"k7": (1, 7, 2), "c11cubed": (1, 11, 2)}
+
+
+@cache
+def _frame_grid(name: str) -> cat.GridTriangulation:
+    return cat.gen_altshuler(*_GRID_FRAMES[name])
+
 
 @dataclass(frozen=True)
 class Frame:
     name: str                      # catalog embedding id
     cat_emb: Embedding
     vmap: tuple[int, ...]          # catalog vertex -> host vertex
-    reversed_orientation: bool
 
     def host_dart(self, host: Embedding, cat_dart: int) -> int:
         u, v = self.cat_emb.tail(cat_dart), self.cat_emb.head(cat_dart)
@@ -399,13 +402,17 @@ def match_frame(host: Embedding, cat_name: str, mapping: Sequence[int]) -> Frame
     ``mapping`` sends pattern vertices to host vertices.  The induced
     sub-embedding must be isomorphic to the catalog embedding (the graphs
     here are uniquely embeddable, possibly after a mirror flip); the
-    composed map carries every catalog labeling onto host darts.
+    composed map carries every catalog labeling onto host darts.  K7 and
+    C11^3 are aligned with their grid embedding, whose edge roles color them.
     """
-    cat_emb = cat.catalog_embedding(cat_name)
+    if cat_name in _GRID_FRAMES:
+        cat_emb = _frame_grid(cat_name).embedding
+    else:
+        cat_emb = cat.catalog_embedding(cat_name)
     sub = _restrict_rotations(host, mapping)
-    for vmap_cs, rev in embedding_isomorphisms(cat_emb, sub):
+    for vmap_cs, _rev in embedding_isomorphisms(cat_emb, sub):
         composed = tuple(mapping[vmap_cs[v]] for v in range(cat_emb.num_vertices))
-        return Frame(cat_name, cat_emb, composed, rev)
+        return Frame(cat_name, cat_emb, composed)
     raise NoTableEntry(
         f"subgraph matches {cat_name} but its induced embedding does not"
     )
@@ -455,6 +462,26 @@ def _color_perm(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...]:
     return tuple(perm[c] for c in COLORS)
 
 
+def _merge_entry(host, frame, entry, cat_cycle, disk, positions, coloring) -> dict[int, int]:
+    """The table entry on the host, recolored so that its labeling cycle
+    agrees with the disk's coloring at ``positions``, and the disk merged in."""
+    src = [entry.coloring[e] for e in cat_cycle.edges]
+    dst = [coloring[p] for p in positions]
+    perm = _color_perm(src, dst)
+    out = frame.transport(host, entry.coloring.permuted(perm))
+    _merge_disk(host, disk, coloring, out)
+    return out
+
+
+def _pin_disk(host, disk, positions, cycle, out, budget):
+    """Solve the disk with its boundary pinned to the host colors on the
+    cycle, and merge it."""
+    solved = solve_disk(disk, positions, [out[e] for e in cycle.edges], budget)
+    if solved is None:
+        raise NoTableEntry("square disk cannot match the table entry")
+    _merge_disk(host, disk, solved.as_partial(), out)
+
+
 def extend_over_face(
     host: Embedding,
     face_cycle: FaceCycle,
@@ -466,11 +493,10 @@ def extend_over_face(
     The region is cut out, capped, solved as a sphere, recolored to agree on
     the three boundary edges, and transplanted.
     """
-    disk = extract_region(host, face_cycle)
+    disk, positions = _cycle_disk(host, face_cycle)
     if disk.interior_vertex_count() == 0:
         return
     solved = apex_solve(disk, budget=budget)
-    positions = [disk_edge_of_host(disk, host, e) for e in face_cycle.edges]
     src = [solved[p] for p in positions]
     dst = [out[e] for e in face_cycle.edges]
     perm = _color_perm(src, dst)
@@ -538,23 +564,13 @@ def _finish(
 # -- the K6 case machinery ------------------------------------------------------------
 
 
-def _read_positions(disk: Disk, coloring: PartialColoring, positions) -> list[int]:
-    return [coloring[p] for p in positions]
-
-
 def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
     """(4,4,4) machinery: type each square disk, look up the triple, pin."""
     variant = "444A" if frame.name == "k6-444a" else "444B"
     labeling = cat.labeling_cycles(frame.name)
     squares = labeling["squares"]
-    disks, positions, kinds = [], [], []
-    for cyc in squares:
-        hcyc = frame.host_cycle(host, cyc)
-        disk = extract_region(host, hcyc)
-        pos = _host_positions(disk, host, hcyc)
-        disks.append(disk)
-        positions.append(pos)
-        kinds.append(achievable_square_kinds(disk, pos, budget))
+    disks = [_cycle_disk(host, frame.host_cycle(host, cyc)) for cyc in squares]
+    kinds = [achievable_square_kinds(disk, pos, budget) for disk, pos in disks]
     types = tuple(square_disk_type(k) for k in kinds)
     trace.append(f"square types {types}")
     entry = apply_case_table(variant, types)
@@ -577,12 +593,8 @@ def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
         else:
             raise NoTableEntry(f"no rotation of {entry.figure_id} fits types {types}")
     out = frame.transport(host, coloring)
-    for disk, pos, cyc in zip(disks, positions, squares):
-        want = [out[e] for e in frame.host_cycle(host, cyc).edges]
-        solved = solve_disk(disk, pos, want, budget)
-        if solved is None:
-            raise NoTableEntry("square disk cannot match the table entry")
-        _merge_disk(host, disk, solved.as_partial(), out)
+    for (disk, pos), cyc in zip(disks, squares):
+        _pin_disk(host, disk, pos, frame.host_cycle(host, cyc), out, budget)
     return _finish(host, frame, out, method, trace, budget)
 
 
@@ -608,7 +620,7 @@ def reduce_pentagon_disk(
     signatures the table allows, anything else is a falsification event.
     """
     steps: list[str] = []
-    sig = tuple(sorted(classify_pentagon(_read_positions(disk, coloring, positions)).positions))
+    sig = tuple(sorted(classify_pentagon([coloring[p] for p in positions]).positions))
     direct = pentagon_direct_set(square_type)
     for _ in range(6):
         if sig in direct:
@@ -618,13 +630,13 @@ def reduce_pentagon_disk(
             raise NoTableEntry(f"pentagon signature {sig} has no reduction")
         edge_label, outcomes = step
         seed = positions[edge_label - 1]
-        majority = _majority_color(_read_positions(disk, coloring, positions))
+        majority = _majority_color([coloring[p] for p in positions])
         coloring = kempe_change(
             disk.embedding, coloring, seed,
             (coloring[seed], majority), exclude_faces=(disk.outer_face,),
         )
         new_sig = tuple(sorted(
-            classify_pentagon(_read_positions(disk, coloring, positions)).positions
+            classify_pentagon([coloring[p] for p in positions]).positions
         ))
         if new_sig not in outcomes:
             raise NoTableEntry(
@@ -637,12 +649,9 @@ def reduce_pentagon_disk(
 
 def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
     labeling = cat.labeling_cycles("k6-54")
-    pent_cyc = frame.host_cycle(host, labeling["pentagon"])
+    pent_disk, pent_pos = _cycle_disk(host, frame.host_cycle(host, labeling["pentagon"]))
     sq_cyc = frame.host_cycle(host, labeling["square"])
-    pent_disk = extract_region(host, pent_cyc)
-    sq_disk = extract_region(host, sq_cyc)
-    pent_pos = _host_positions(pent_disk, host, pent_cyc)
-    sq_pos = _host_positions(sq_disk, host, sq_cyc)
+    sq_disk, sq_pos = _cycle_disk(host, sq_cyc)
 
     sq_type = square_disk_type(achievable_square_kinds(sq_disk, sq_pos, budget))
     target_kind = "B1" if sq_type == 3 else "A"
@@ -654,19 +663,9 @@ def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
 
     entry = apply_case_table("54", (sig, target_kind))
     trace.append(f"table entry {entry.figure_id}")
-    # recolor the shipped entry so its pentagon agrees with the disk exactly
-    cat_pent = labeling["pentagon"]
-    src = [entry.coloring[e] for e in cat_pent.edges]
-    dst = _read_positions(pent_disk, coloring, pent_pos)
-    perm = _color_perm(src, dst)
-    out = frame.transport(host, entry.coloring.permuted(perm))
-    _merge_disk(host, pent_disk, coloring, out)
-
-    want = [out[e] for e in sq_cyc.edges]
-    solved = solve_disk(sq_disk, sq_pos, want, budget)
-    if solved is None:
-        raise NoTableEntry("square disk cannot match the pentagon-aligned entry")
-    _merge_disk(host, sq_disk, solved.as_partial(), out)
+    out = _merge_entry(host, frame, entry, labeling["pentagon"], pent_disk, pent_pos,
+                       coloring)
+    _pin_disk(host, sq_disk, sq_pos, sq_cyc, out, budget)
     return _finish(host, frame, out, method, trace, budget)
 
 
@@ -683,12 +682,12 @@ def reduce_hexagon_disk(
     with the chain colors named by the class witness.
     """
     steps: list[str] = []
-    cls = classify_hexagon(_read_positions(disk, coloring, positions))
+    cls = classify_hexagon([coloring[p] for p in positions])
     for _ in range(6):
         if cls.name in HEXAGON_DIRECT:
             return coloring, cls, steps
         letters, outcomes = HEXAGON_REDUCTIONS[cls.name]
-        observed = _read_positions(disk, coloring, positions)
+        observed = [coloring[p] for p in positions]
         letter_color = _letter_colors(observed, cls)
         first_p = cls.observed_position(cls.name.index("p"))
         seed = positions[first_p]
@@ -697,7 +696,7 @@ def reduce_hexagon_disk(
             (letter_color[letters[0]], letter_color[letters[1]]),
             exclude_faces=(disk.outer_face,),
         )
-        new_cls = classify_hexagon(_read_positions(disk, coloring, positions))
+        new_cls = classify_hexagon([coloring[p] for p in positions])
         if new_cls.name not in outcomes:
             raise NoTableEntry(
                 f"documented change {cls.name}->{outcomes} produced {new_cls.name}"
@@ -710,9 +709,7 @@ def reduce_hexagon_disk(
 def _route_k6_hex(host, frame, budget, trace, method) -> SolveReport:
     labeling = cat.labeling_cycles("k6-6")
     hex_cat = labeling["hexagon"]
-    hex_cyc = frame.host_cycle(host, hex_cat)
-    disk = extract_region(host, hex_cyc)
-    pos = _host_positions(disk, host, hex_cyc)
+    disk, pos = _cycle_disk(host, frame.host_cycle(host, hex_cat))
 
     coloring = apex_solve(disk, budget=budget)
     coloring, cls, steps = reduce_hexagon_disk(disk, pos, coloring)
@@ -753,12 +750,10 @@ def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
     variant = "H7K2" if frame.name == "h7k2" else "C3C5"
     labeling = cat.labeling_cycles(frame.name)
     quad_cat = labeling["quad"]
-    quad_cyc = frame.host_cycle(host, quad_cat)
-    disk = extract_region(host, quad_cyc)
-    pos = _host_positions(disk, host, quad_cyc)
+    disk, pos = _cycle_disk(host, frame.host_cycle(host, quad_cat))
 
     coloring = apex_solve(disk, budget=budget)
-    kind = classify_square(_read_positions(disk, coloring, pos)).kind
+    kind = classify_square([coloring[p] for p in pos]).kind
     if kind == "A":
         raise NoTableEntry(
             "apex construction produced an alternating square, which the "
@@ -767,37 +762,34 @@ def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
     trace.append(f"quad class {kind}")
     entry = apply_case_table(variant, kind)
     trace.append(f"table entry {entry.figure_id}")
-    src = [entry.coloring[e] for e in quad_cat.edges]
-    dst = _read_positions(disk, coloring, pos)
-    perm = _color_perm(src, dst)
-    out = frame.transport(host, entry.coloring.permuted(perm))
-    _merge_disk(host, disk, coloring, out)
+    out = _merge_entry(host, frame, entry, quad_cat, disk, pos, coloring)
     return _finish(host, frame, out, method, trace, budget)
 
 
-def _route_six_regular(host, frame_name, mapping, budget, trace, method) -> SolveReport:
-    """K7 or C11^3 inside the host: the sub-embedding is a triangulation, so
-    color it by its grid structure and extend."""
-    grid = cat.gen_altshuler(1, 7, 2) if frame_name == "k7" else cat.gen_altshuler(1, 11, 2)
-    sub = _restrict_rotations(host, mapping)
-    if not is_triangulation(sub):
-        raise NoTableEntry(f"{method}: sub-embedding is not a triangulation")
-    pair = next(embedding_isomorphisms(grid.embedding, sub), None)
-    if pair is None:
-        raise NoTableEntry(f"{method}: sub-embedding is not the grid's embedding")
-    vmap_gs, _rev = pair
-    role_coloring = altshuler_coloring(grid)
-    out = {}
-    for e in range(grid.embedding.num_edges):
-        u, v = grid.embedding.edge_ends(e)
-        he = host.edge_id(mapping[vmap_gs[u]], mapping[vmap_gs[v]])
-        out[he] = role_coloring[e]
+def _route_six_regular(host, frame, budget, trace, method) -> SolveReport:
+    """K7 or C11^3 inside the host: the frame is a grid triangulation, so
+    color it by edge role and extend."""
+    out = frame.transport(host, altshuler_coloring(_frame_grid(frame.name)))
     trace.append("grid labeling recognized")
-    frame = Frame(frame_name, sub, tuple(mapping), False)
     return _finish(host, frame, out, method, trace, budget)
 
 
 # -- the dispatch ---------------------------------------------------------------------
+
+# the pattern a host contains -> its frame; K6 picks one of four by face census
+_PATTERN_FRAMES = {"K7": "k7", "C11^3": "c11cubed", "H7+K2": "h7k2", "C3+C5": "c3c5"}
+
+# frame -> (method, route)
+_ROUTES = {
+    "k7": ("K7", _route_six_regular),
+    "c11cubed": ("CRITICAL(C11CUBED)", _route_six_regular),
+    "k6-444a": ("CRITICAL(444A)", _route_k6_squares),
+    "k6-444b": ("CRITICAL(444B)", _route_k6_squares),
+    "k6-54": ("CRITICAL(54)", _route_k6_54),
+    "k6-6": ("CRITICAL(6)", _route_k6_hex),
+    "h7k2": ("CRITICAL(H7K2)", _route_quadface),
+    "c3c5": ("CRITICAL(C3C5)", _route_quadface),
+}
 
 
 def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
@@ -850,52 +842,41 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
         stage = "subgraph search"
         if color_vertices_k(adj, 5, budget=budget) is None:
             match = dispatch_match(five_core(adj), budget)
-            if match.pattern == "K7":
-                trace.append("contains K7")
-                stage = "K7"
-                return _route_six_regular(emb, "k7", match.mapping, budget, trace, stage)
-            trace.append(f"critical subgraph {match.pattern}")
-            if match.pattern == "C11^3":
-                stage = "CRITICAL(C11CUBED)"
-                return _route_six_regular(emb, "c11cubed", match.mapping, budget, trace, stage)
+            trace.append("contains K7" if match.pattern == "K7"
+                         else f"critical subgraph {match.pattern}")
             if match.pattern == "K6":
                 frame = identify_k6_frame(emb, match.mapping)
                 trace.append(f"embedding variant {frame.name}")
             else:
-                frame = match_frame(
-                    emb, "h7k2" if match.pattern == "H7+K2" else "c3c5", match.mapping
-                )
-            stage = f"CRITICAL({frame.name.removeprefix('k6-').upper()})"
-            if frame.name in ("k6-444a", "k6-444b"):
-                return _route_k6_squares(emb, frame, budget, trace, stage)
-            if frame.name == "k6-54":
-                return _route_k6_54(emb, frame, budget, trace, stage)
-            if frame.name == "k6-6":
-                return _route_k6_hex(emb, frame, budget, trace, stage)
-            return _route_quadface(emb, frame, budget, trace, stage)
+                frame = match_frame(emb, _PATTERN_FRAMES[match.pattern], match.mapping)
+            stage, route = _ROUTES[frame.name]
+            return route(emb, frame, budget, trace, stage)
 
         # five-chromatic territory: search, and say so
         trace.append("no critical subgraph: five-chromatic, exhaustive search")
         stage = "exact search"
-        report = solve_exact(emb, budget=budget)
-        coloring = _found(report)
+        coloring = _found(solve_exact(emb, budget=budget))
     except BudgetExceeded as exc:
         return SolveReport(UNKNOWN, method=stage, trace=(*trace, f"{stage}: {exc}"),
                            nodes=budget.used_nodes)
     if coloring is None:
         return SolveReport(UNSAT, method="EXACT", trace=tuple(trace),
-                           nodes=budget.used_nodes, millis=report.millis)
-    return _verified_report(emb, coloring, "EXACT", trace, budget, "exact search",
-                            report.millis)
+                           nodes=budget.used_nodes)
+    return _verified_report(emb, coloring, "EXACT", trace, budget, "exact search")
 
 
 def solve(emb, budget: Budget | None = None) -> SolveReport:
-    """Dispatch on genus: sphere and torus triangulations are supported."""
-    if isinstance(emb, cat.GridTriangulation):
-        return solve_torus(emb, budget)
-    g = genus(emb)
+    """Dispatch on genus: sphere and torus triangulations are supported.
+
+    The report's ``millis`` is the whole solve's wall time.
+    """
+    started = time.perf_counter()
+    g = 1 if isinstance(emb, cat.GridTriangulation) else genus(emb)
     if g == 0:
-        return solve_planar(emb, budget=budget)
-    if g == 1:
-        return solve_torus(emb, budget)
-    raise ValueError(f"genus {g} is out of scope; only sphere and torus are handled")
+        report = solve_planar(emb, budget=budget)
+    elif g == 1:
+        report = solve_torus(emb, budget)
+    else:
+        raise ValueError(f"genus {g} is out of scope; only sphere and torus are handled")
+    report.millis = 1000 * (time.perf_counter() - started)
+    return report

@@ -12,7 +12,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coloring import COLORS, EdgeColoring, PartialColoring
 from .embedding import Embedding, dual_graph, trace_faces
@@ -119,7 +119,6 @@ def solve_exact(
     mode: str = "find",
     exempt_faces: Iterable[int] = (),
     budget: Budget | None = None,
-    on_solution: Callable[[EdgeColoring], None] | None = None,
 ):
     """Exhaustive backtracking over edge colors.
 
@@ -143,20 +142,6 @@ def solve_exact(
     edge_order, faces_of_edge = _edge_order(emb, exempt)
     face_edges = {f: tuple(fs.face_edges(f)) for f in range(fs.num_faces)}
     colors: list[int | None] = list(fixed.colors)
-
-    def face_ok(f: int) -> bool:
-        cs = [colors[e] for e in face_edges[f]]
-        known = [c for c in cs if c is not None]
-        return len(set(known)) == len(known)
-
-    for f in range(fs.num_faces):
-        if fs.size(f) == 3 and f not in exempt and not face_ok(f):
-            # fixed colors already clash; UNSAT regardless of search
-            if mode == "count":
-                return 0
-            if mode == "enumerate":
-                return iter(())
-            return SolveReport(UNSAT, nodes=0, millis=0.0)
 
     def propagate(e: int, trail: list[int]) -> bool:
         """Forced moves: a triangle with two colored edges forces the third."""
@@ -188,7 +173,8 @@ def solve_exact(
                 p += 1
             return p
 
-        # seed trail: propagate all fixed edges once
+        # seed trail: propagate all fixed edges once; fixed colors that
+        # already clash on a triangle end the search here, before any node
         seed_trail: list[int] = []
         for e in range(ne):
             if colors[e] is not None:
@@ -242,8 +228,6 @@ def solve_exact(
                 nodes=budget.used_nodes,
                 millis=1000 * (time.monotonic() - t0),
             )
-            if on_solution:
-                on_solution(sol)
             return report
         return SolveReport(
             UNSAT, nodes=budget.used_nodes, millis=1000 * (time.monotonic() - t0)

@@ -5,12 +5,14 @@ import pytest
 from grunbaum.cli import main
 from grunbaum.catalog import (
     catalog_embedding,
+    gen_altshuler,
     gen_k6,
     gen_named,
     random_refinement,
     triangulate_faces,
 )
 from grunbaum.fileio import read_coloring, read_embedding, write_embedding
+from grunbaum.pipeline import solve
 
 
 @pytest.fixture
@@ -74,6 +76,22 @@ def test_solve_unsat_exits_1(tmp_path, capsys):
                  "--method", "exact"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["status"] == "UNSAT"
+
+
+@pytest.mark.parametrize("method, host", [
+    ("TAIT", lambda: random_refinement(gen_altshuler(3, 6, 0).embedding, 1, seed=0)),
+    ("K7", lambda: random_refinement(gen_named("K7"), 5, seed=1)),
+    ("EXACT", lambda: random_refinement(gen_altshuler(3, 3, 1).embedding, 2, seed=0)),
+])
+def test_solve_reports_its_wall_time(method, host, tmp_path, capsys):
+    emb = host()
+    report = solve(emb)
+    assert report.method == method and report.millis > 0
+    path = tmp_path / "host.emb"
+    write_embedding(emb, path)
+    assert main(["--json", "solve", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == method and doc["stats"]["millis"] > 0
 
 
 def test_verify_bad_coloring_exits_1(tmp_path):

@@ -2,6 +2,8 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grunbaum.catalog import (
     catalog_embedding,
@@ -385,6 +387,39 @@ def test_stats_nodes_count_the_whole_solve(method):
     stage, message = _unknown_stage(solve(host, Budget(nodes=report.nodes - 1)))
     assert stage == LAST_STAGE.get(method, method)
     assert message.endswith(f"node budget {report.nodes - 1} exhausted")
+
+
+def _relabelled(emb, perm):
+    """The embedding with vertex v renamed perm[v]."""
+    rotations = [()] * emb.num_vertices
+    for v, nbrs in enumerate(emb.rotations):
+        rotations[perm[v]] = [perm[w] for w in nbrs]
+    return build_embedding(rotations)
+
+
+@pytest.mark.parametrize("base", list(ROUTE_HOSTS))
+@settings(max_examples=8, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_budget_on_a_moved_route_host_ends_found_or_unknown(base, data):
+    # stellated, mirrored and relabelled route hosts: every frame has to be
+    # found and aligned again, whatever ids and orientation the host uses
+    host = random_refinement(ROUTE_HOSTS[base](), data.draw(st.integers(0, 30)),
+                             seed=data.draw(st.integers(0, 2**16)))
+    if data.draw(st.booleans(), label="mirrored"):
+        host = build_embedding([r[::-1] for r in host.rotations])
+    if data.draw(st.booleans(), label="relabelled"):
+        host = _relabelled(host, data.draw(st.permutations(range(host.num_vertices))))
+    full = solve(host)
+    assert full.found and verify_grunbaum(host, full.coloring).ok
+    # drawn as the shortfall, so that small draws run out late, inside the route
+    shortfall = data.draw(st.integers(0, full.nodes), label="shortfall")
+    report = solve(host, Budget(nodes=full.nodes - shortfall))
+    if report.found:
+        assert report.method == full.method
+        assert verify_grunbaum(host, report.coloring).ok
+    else:
+        _unknown_stage(report)
 
 
 def test_failed_extension_is_not_reported_found(monkeypatch):

@@ -46,6 +46,11 @@ def test_precolored_conflict_is_unsat():
     e0, e1, e2 = fs.face_edges(0)
     fixed = PartialColoring.from_dict(K4.num_edges, {e0: 0, e1: 0, e2: 1})
     assert solve_exact(K4, fixed=fixed).status == "UNSAT"
+    # every mode finds the clash before its first search node
+    budget = Budget(nodes=0)
+    assert solve_exact(K4, fixed=fixed, budget=budget).status == "UNSAT"
+    assert solve_exact(K4, fixed=fixed, mode="count", budget=budget) == 0
+    assert list(solve_exact(K4, fixed=fixed, mode="enumerate", budget=budget)) == []
 
 
 def test_fixed_edges_respected():
