@@ -68,9 +68,6 @@ class SubgraphMatch:
     pattern: str
     mapping: tuple[int, ...]  # pattern vertex -> host vertex
 
-    def to_json_dict(self) -> dict:
-        return {"pattern": self.pattern, "mapping": list(self.mapping)}
-
 
 def find_subgraph(
     host_adj: Sequence[set[int]],

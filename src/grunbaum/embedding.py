@@ -136,10 +136,6 @@ class Embedding:
     def twin(d: int) -> int:
         return d ^ 1
 
-    @staticmethod
-    def dart_edge(d: int) -> int:
-        return d >> 1
-
     def face_next(self, d: int) -> int:
         """Next dart of the face containing d."""
         return self._succ[d ^ 1]

@@ -72,10 +72,8 @@ def _try_anchor(
     return vmap
 
 
-def embedding_isomorphisms(
-    e1: Embedding, e2: Embedding
-) -> Iterator[tuple[list[int], bool]]:
-    """Yield (vertex_map, reversed) once for every rooted match found,
+def embedding_isomorphisms(e1: Embedding, e2: Embedding) -> Iterator[list[int]]:
+    """Yield a vertex map once for every rooted match found,
     orientation-preserving maps first."""
     if (
         e1.num_vertices != e2.num_vertices
@@ -92,7 +90,7 @@ def embedding_isomorphisms(
                 key = (tuple(vmap), reverse)
                 if key not in seen:
                     seen.add(key)
-                    yield vmap, reverse
+                    yield vmap
 
 
 def embeddings_isomorphic(e1: Embedding, e2: Embedding) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import wraps
 from typing import Sequence
 
 from . import catalog as cat
@@ -103,21 +103,29 @@ def recognize_grid_coloring(emb: Embedding) -> tuple[EdgeColoring, str] | None:
                 grid = cat.gen_altshuler(rows, cols, twist)
             except NotSimple:
                 continue
-            pair = next(embedding_isomorphisms(grid.embedding, emb), None)
-            if pair is None:
+            vmap = next(embedding_isomorphisms(grid.embedding, emb), None)
+            if vmap is None:
                 continue
-            vmap, _rev = pair
-            role_coloring = altshuler_coloring(grid)
-            colors = [0] * emb.num_edges
-            for e in range(grid.embedding.num_edges):
-                u, v = grid.embedding.edge_ends(e)
-                colors[emb.edge_id(vmap[u], vmap[v])] = role_coloring[e]
-            coloring = EdgeColoring(tuple(colors))
+            frame = Frame(f"T({rows},{cols},{twist})", grid.embedding, tuple(vmap))
+            colors = frame.transport(emb, altshuler_coloring(grid))
+            coloring = EdgeColoring(tuple(colors[e] for e in range(emb.num_edges)))
             if verify_grunbaum(emb, coloring).ok:
-                return coloring, f"T({rows},{cols},{twist})"
+                return coloring, frame.name
     return None
 
 
+def _timed(entry):
+    """Stamp the entry point's wall time on the report it returns as ``millis``."""
+    @wraps(entry)
+    def timed(*args, **kwargs) -> SolveReport:
+        started = time.perf_counter()
+        report = entry(*args, **kwargs)
+        report.millis = 1000 * (time.perf_counter() - started)
+        return report
+    return timed
+
+
+@_timed
 def solve_planar(emb: Embedding, budget: Budget | None = None) -> SolveReport:
     """Four-color the vertices, then lift to the edges."""
     if genus(emb) != 0:
@@ -334,9 +342,7 @@ def apply_case_table(variant: str, observed) -> CaseEntry:
         sig, kind = observed
         j, k = sorted(sig)
         name = f"{j};{k}|{kind}"
-    elif variant == "6":
-        name = observed
-    elif variant in ("H7K2", "C3C5"):
+    elif variant in ("6", "H7K2", "C3C5"):
         name = observed
     else:
         raise NoTableEntry(f"unknown case table {variant!r}")
@@ -349,18 +355,14 @@ def apply_case_table(variant: str, observed) -> CaseEntry:
 
 # -- frames: a catalog embedding matched inside a host ------------------------------
 
-# the six-regular frames, colored by edge role: frame name -> grid parameters
-_GRID_FRAMES = {"k7": (1, 7, 2), "c11cubed": (1, 11, 2)}
-
-
-@cache
-def _frame_grid(name: str) -> cat.GridTriangulation:
-    return cat.gen_altshuler(*_GRID_FRAMES[name])
+# the six-regular frames, colored by edge role: frame name -> its grid, built
+# on import so that no solve pays for it
+_GRID_FRAMES = {"k7": cat.gen_altshuler(1, 7, 2), "c11cubed": cat.gen_altshuler(1, 11, 2)}
 
 
 @dataclass(frozen=True)
 class Frame:
-    name: str                      # catalog embedding id
+    name: str                      # catalog embedding or grid id
     cat_emb: Embedding
     vmap: tuple[int, ...]          # catalog vertex -> host vertex
 
@@ -406,11 +408,11 @@ def match_frame(host: Embedding, cat_name: str, mapping: Sequence[int]) -> Frame
     C11^3 are aligned with their grid embedding, whose edge roles color them.
     """
     if cat_name in _GRID_FRAMES:
-        cat_emb = _frame_grid(cat_name).embedding
+        cat_emb = _GRID_FRAMES[cat_name].embedding
     else:
         cat_emb = cat.catalog_embedding(cat_name)
     sub = _restrict_rotations(host, mapping)
-    for vmap_cs, _rev in embedding_isomorphisms(cat_emb, sub):
+    for vmap_cs in embedding_isomorphisms(cat_emb, sub):
         composed = tuple(mapping[vmap_cs[v]] for v in range(cat_emb.num_vertices))
         return Frame(cat_name, cat_emb, composed)
     raise NoTableEntry(
@@ -769,7 +771,7 @@ def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
 def _route_six_regular(host, frame, budget, trace, method) -> SolveReport:
     """K7 or C11^3 inside the host: the frame is a grid triangulation, so
     color it by edge role and extend."""
-    out = frame.transport(host, altshuler_coloring(_frame_grid(frame.name)))
+    out = frame.transport(host, altshuler_coloring(_GRID_FRAMES[frame.name]))
     trace.append("grid labeling recognized")
     return _finish(host, frame, out, method, trace, budget)
 
@@ -792,6 +794,7 @@ _ROUTES = {
 }
 
 
+@_timed
 def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
     """Produce a coloring of a torus triangulation, or report UNKNOWN.
 
@@ -865,12 +868,13 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
     return _verified_report(emb, coloring, "EXACT", trace, budget, "exact search")
 
 
+@_timed
 def solve(emb, budget: Budget | None = None) -> SolveReport:
     """Dispatch on genus: sphere and torus triangulations are supported.
 
-    The report's ``millis`` is the whole solve's wall time.
+    The report's ``millis`` is the whole solve's wall time, as it is for
+    ``solve_planar`` and ``solve_torus`` called directly.
     """
-    started = time.perf_counter()
     g = 1 if isinstance(emb, cat.GridTriangulation) else genus(emb)
     if g == 0:
         report = solve_planar(emb, budget=budget)
@@ -878,5 +882,4 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
         report = solve_torus(emb, budget)
     else:
         raise ValueError(f"genus {g} is out of scope; only sphere and torus are handled")
-    report.millis = 1000 * (time.perf_counter() - started)
     return report

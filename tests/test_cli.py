@@ -12,7 +12,7 @@ from grunbaum.catalog import (
     triangulate_faces,
 )
 from grunbaum.fileio import read_coloring, read_embedding, write_embedding
-from grunbaum.pipeline import solve
+from grunbaum.pipeline import solve, solve_planar, solve_torus
 
 
 @pytest.fixture
@@ -87,11 +87,16 @@ def test_solve_reports_its_wall_time(method, host, tmp_path, capsys):
     emb = host()
     report = solve(emb)
     assert report.method == method and report.millis > 0
+    assert solve_torus(emb).millis > 0
     path = tmp_path / "host.emb"
     write_embedding(emb, path)
     assert main(["--json", "solve", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == method and doc["stats"]["millis"] > 0
+
+
+def test_solve_planar_reports_its_wall_time():
+    assert solve_planar(gen_named("octahedron")).millis > 0
 
 
 def test_verify_bad_coloring_exits_1(tmp_path):

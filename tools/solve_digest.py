@@ -11,7 +11,7 @@ of ``tests/corpus.py``.  A workload input is parsed from the same ``.emb``
 text the benchmark hands the program.
 
     python3 tools/solve_digest.py              # seeds 1 and 1009
-    python3 tools/solve_digest.py 1 7 --workload critical
+    python3 tools/solve_digest.py 1 7
 """
 from __future__ import annotations
 
@@ -56,12 +56,10 @@ def digest(outcomes) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seeds", nargs="*", type=int, default=[1, 1009])
-    ap.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
-                    help="workloads to digest (repeatable; default all)")
     args = ap.parse_args(argv)
     if Path(grunbaum.__file__).resolve().parent != ROOT / "src" / "grunbaum":
         raise SystemExit(f"solve_digest: imported {grunbaum.__file__}, not the checkout's")
-    for name in args.workload or workloads.WORKLOADS:
+    for name in workloads.WORKLOADS:
         for seed in args.seeds:
             inputs = workloads.build(name, seed, grunbaum)
             lines = [outcome(grunbaum.fileio.read_embedding(io.StringIO(inp.text)))
