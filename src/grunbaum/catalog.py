@@ -26,8 +26,6 @@ from .embedding import (
 from .errors import FaceNotTriangle, NotSimple, UnknownId
 from .fileio import read_coloring, read_embedding
 
-GRID_ROLES = ("H", "V", "D")  # horizontal, vertical, diagonal
-
 
 @dataclass(frozen=True)
 class GridTriangulation:

@@ -400,10 +400,6 @@ class Disk:
     def interior_vertex_count(self) -> int:
         return self.embedding.num_vertices - len(self.boundary_darts)
 
-    def host_edge(self, host: Embedding, e: int) -> int:
-        u, v = self.embedding.edge_ends(e)
-        return host.edge_id(self.to_host[u], self.to_host[v])
-
 
 def extract_disk(
     emb: Embedding, cycle: FaceCycle, side: Literal["interior", "exterior"] = "interior"

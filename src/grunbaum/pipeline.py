@@ -106,11 +106,10 @@ def recognize_grid_coloring(emb: Embedding) -> tuple[EdgeColoring, str] | None:
             vmap = next(embedding_isomorphisms(grid.embedding, emb), None)
             if vmap is None:
                 continue
-            frame = Frame(f"T({rows},{cols},{twist})", grid.embedding, tuple(vmap))
-            colors = frame.transport(emb, altshuler_coloring(grid))
+            colors = _place(emb, grid.embedding, vmap, altshuler_coloring(grid), {})
             coloring = EdgeColoring(tuple(colors[e] for e in range(emb.num_edges)))
             if verify_grunbaum(emb, coloring).ok:
-                return coloring, frame.name
+                return coloring, f"T({rows},{cols},{twist})"
     return None
 
 
@@ -296,21 +295,11 @@ HEXAGON_REDUCTIONS = {
 HEXAGON_DIRECT = frozenset({"ttpppp", "ttppgg", "tpptpp", "tpgtpg"})
 
 
-def pentagon_reduction(sig: tuple[int, int], square_type: int):
-    table = PENTAGON_REDUCTIONS_TYPE3 if square_type == 3 else PENTAGON_REDUCTIONS_TYPE12
-    return table.get(tuple(sorted(sig)))
-
-
-def pentagon_direct_set(square_type: int) -> frozenset[tuple[int, int]]:
-    return PENTAGON_DIRECT_TYPE3 if square_type == 3 else PENTAGON_DIRECT_TYPE12
-
-
 @dataclass(frozen=True)
 class CaseEntry:
     """A shipped coloring resolved from a case table."""
 
     figure_id: str
-    host: str
     coloring: PartialColoring
     info: dict
 
@@ -326,31 +315,19 @@ def apply_case_table(variant: str, observed) -> CaseEntry:
     rule out, so hitting one is a falsification-grade event.
     """
     table = cat.case_table(variant)
-    if variant in ("444A", "444B"):
-        types = tuple(observed)
-        keys = [types]
-        if variant == "444A":
-            keys = [types, types[1:] + types[:1], types[2:] + types[:2]]
-        for key in keys:
-            name = "".join(map(str, key))
-            if name in table:
-                fig = table[name]
-                host, coloring = cat.figure_colorings(fig)
-                return CaseEntry(fig, host, coloring, cat.figure_info(fig))
-        raise NoTableEntry(f"{variant} has no entry for type triple {types}")
     if variant == "54":
         sig, kind = observed
         j, k = sorted(sig)
-        name = f"{j};{k}|{kind}"
-    elif variant in ("6", "H7K2", "C3C5"):
-        name = observed
+        keys = [f"{j};{k}|{kind}"]
+    elif variant in ("444A", "444B"):
+        types = "".join(map(str, observed))
+        keys = [types[i:] + types[:i] for i in range(3 if variant == "444A" else 1)]
     else:
-        raise NoTableEntry(f"unknown case table {variant!r}")
-    if name not in table:
-        raise NoTableEntry(f"{variant} has no entry for {name!r}")
-    fig = table[name]
-    host, coloring = cat.figure_colorings(fig)
-    return CaseEntry(fig, host, coloring, cat.figure_info(fig))
+        keys = [observed]
+    fig = next((table[key] for key in keys if key in table), None)
+    if fig is None:
+        raise NoTableEntry(f"{variant} has no entry for {observed!r}")
+    return CaseEntry(fig, cat.figure_colorings(fig)[1], cat.figure_info(fig))
 
 
 # -- frames: a catalog embedding matched inside a host ------------------------------
@@ -366,26 +343,8 @@ class Frame:
     cat_emb: Embedding
     vmap: tuple[int, ...]          # catalog vertex -> host vertex
 
-    def host_dart(self, host: Embedding, cat_dart: int) -> int:
-        u, v = self.cat_emb.tail(cat_dart), self.cat_emb.head(cat_dart)
-        return host.dart(self.vmap[u], self.vmap[v])
-
     def host_cycle(self, host: Embedding, cycle: FaceCycle) -> FaceCycle:
-        return FaceCycle.from_darts(
-            host, [self.host_dart(host, d) for d in cycle.darts]
-        )
-
-    def host_edge(self, host: Embedding, cat_edge: int) -> int:
-        u, v = self.cat_emb.edge_ends(cat_edge)
-        return host.edge_id(self.vmap[u], self.vmap[v])
-
-    def transport(self, host: Embedding, coloring: PartialColoring) -> dict[int, int]:
-        out = {}
-        for e in range(self.cat_emb.num_edges):
-            c = coloring[e]
-            if c is not None:
-                out[self.host_edge(host, e)] = c
-        return out
+        return _host_cycle(host, self.cat_emb, self.vmap, cycle.darts)
 
 
 def _restrict_rotations(host: Embedding, vmap: Sequence[int]) -> Embedding:
@@ -398,90 +357,95 @@ def _restrict_rotations(host: Embedding, vmap: Sequence[int]) -> Embedding:
     return Embedding(rotations)
 
 
-def match_frame(host: Embedding, cat_name: str, mapping: Sequence[int]) -> Frame:
-    """Align a catalog embedding with a matched subgraph of the host.
+# the pattern a host contains -> the frames it can sit in; K6 has four torus
+# embeddings, and the two (4,4,4) ones share a face census
+_PATTERN_FRAMES = {
+    "K7": ("k7",),
+    "K6": ("k6-54", "k6-6", "k6-444a", "k6-444b"),
+    "H7+K2": ("h7k2",),
+    "C3+C5": ("c3c5",),
+    "C11^3": ("c11cubed",),
+}
 
-    ``mapping`` sends pattern vertices to host vertices.  The induced
-    sub-embedding must be isomorphic to the catalog embedding (the graphs
-    here are uniquely embeddable, possibly after a mirror flip); the
+
+def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
+    """Align a frame of the pattern with a matched subgraph of the host.
+
+    ``mapping`` sends pattern vertices to host vertices.  The host rotations
+    restricted to the matched vertices give the induced sub-embedding; the
+    first of the pattern's frames with the same face census that is
+    isomorphic to it (possibly after a mirror flip) is the frame, and the
     composed map carries every catalog labeling onto host darts.  K7 and
     C11^3 are aligned with their grid embedding, whose edge roles color them.
     """
-    if cat_name in _GRID_FRAMES:
-        cat_emb = _GRID_FRAMES[cat_name].embedding
-    else:
-        cat_emb = cat.catalog_embedding(cat_name)
-    sub = _restrict_rotations(host, mapping)
-    for vmap_cs in embedding_isomorphisms(cat_emb, sub):
-        composed = tuple(mapping[vmap_cs[v]] for v in range(cat_emb.num_vertices))
-        return Frame(cat_name, cat_emb, composed)
-    raise NoTableEntry(
-        f"subgraph matches {cat_name} but its induced embedding does not"
-    )
-
-
-def identify_k6_frame(host: Embedding, mapping: Sequence[int]) -> Frame:
     sub = _restrict_rotations(host, mapping)
     census = trace_faces(sub).census()
-    if census == (5, 4, 3, 3, 3, 3, 3, 3, 3):
-        return match_frame(host, "k6-54", mapping)
-    if census == (6, 3, 3, 3, 3, 3, 3, 3, 3):
-        return match_frame(host, "k6-6", mapping)
-    if census == (4, 4, 4, 3, 3, 3, 3, 3, 3):
-        try:
-            return match_frame(host, "k6-444a", mapping)
-        except NoTableEntry:
-            return match_frame(host, "k6-444b", mapping)
-    raise NoTableEntry(f"K6 sub-embedding has unexpected faces {census}")
+    for name in _PATTERN_FRAMES[pattern]:
+        grid = _GRID_FRAMES.get(name)
+        cat_emb = grid.embedding if grid else cat.catalog_embedding(name)
+        if trace_faces(cat_emb).census() != census:
+            continue
+        for vmap_cs in embedding_isomorphisms(cat_emb, sub):
+            return Frame(name, cat_emb, tuple(mapping[w] for w in vmap_cs))
+    raise NoTableEntry(f"no frame of {pattern} matches its sub-embedding with faces {census}")
 
 
 # -- assembling and extending -------------------------------------------------------
 
 
-def _merge_disk(
-    host: Embedding, disk: Disk, coloring: PartialColoring, out: dict[int, int]
-):
-    for e in range(disk.embedding.num_edges):
+def _place(host: Embedding, sub: Embedding, vmap: Sequence[int],
+           coloring: PartialColoring | EdgeColoring, out: dict[int, int]) -> dict[int, int]:
+    """Add the colored edges of a sub-embedding to ``out`` (host edge ->
+    color) along ``vmap`` (sub vertex -> host vertex), and return it.  A host
+    edge that already holds another color raises NoTableEntry."""
+    for e, (u, v) in enumerate(sub.edges):
         c = coloring[e]
-        if c is None:
-            continue
-        he = disk.host_edge(host, e)
-        if out.setdefault(he, c) != c:
-            raise NoTableEntry(f"conflicting colors for host edge {he}")
+        if c is not None:
+            he = host.edge_id(vmap[u], vmap[v])
+            if out.setdefault(he, c) != c:
+                raise NoTableEntry(f"conflicting colors for host edge {he}")
+    return out
 
 
-def _color_perm(src: Sequence[int], dst: Sequence[int]) -> tuple[int, ...]:
-    """The color permutation carrying src onto dst, completed to a bijection."""
+def _host_cycle(host: Embedding, sub: Embedding, vmap: Sequence[int],
+                darts: Sequence[int]) -> FaceCycle:
+    """The host cycle that a closed walk of a sub-embedding maps onto."""
+    return FaceCycle.from_darts(
+        host, [host.dart(vmap[sub.tail(d)], vmap[sub.head(d)]) for d in darts]
+    )
+
+
+def _recolor_to(coloring: PartialColoring, positions: Sequence[int],
+                colors: Sequence[int]) -> PartialColoring:
+    """The coloring with its colors renamed so that it reads ``colors`` at
+    ``positions``; the renaming is completed to a bijection."""
     perm: dict[int, int] = {}
-    for a, b in zip(src, dst):
-        if perm.setdefault(a, b) != b:
+    for p, b in zip(positions, colors):
+        if perm.setdefault(coloring[p], b) != b:
             raise NoTableEntry("boundary patterns differ by more than recoloring")
+    if len(set(perm.values())) != len(perm):
+        raise NoTableEntry("boundary patterns are not color-bijective")
     free_src = [c for c in COLORS if c not in perm]
     free_dst = [c for c in COLORS if c not in perm.values()]
-    if len(set(perm.values())) != len(perm) or len(free_src) != len(free_dst):
-        raise NoTableEntry("boundary patterns are not color-bijective")
-    perm.update(dict(zip(free_src, free_dst)))
-    return tuple(perm[c] for c in COLORS)
+    perm.update(zip(free_src, free_dst))
+    return coloring.permuted(tuple(perm[c] for c in COLORS))
 
 
 def _merge_entry(host, frame, entry, cat_cycle, disk, positions, coloring) -> dict[int, int]:
     """The table entry on the host, recolored so that its labeling cycle
-    agrees with the disk's coloring at ``positions``, and the disk merged in."""
-    src = [entry.coloring[e] for e in cat_cycle.edges]
-    dst = [coloring[p] for p in positions]
-    perm = _color_perm(src, dst)
-    out = frame.transport(host, entry.coloring.permuted(perm))
-    _merge_disk(host, disk, coloring, out)
-    return out
+    agrees with the disk's coloring at ``positions``, and the disk placed too."""
+    recolored = _recolor_to(entry.coloring, cat_cycle.edges, [coloring[p] for p in positions])
+    out = _place(host, frame.cat_emb, frame.vmap, recolored, {})
+    return _place(host, disk.embedding, disk.to_host, coloring, out)
 
 
 def _pin_disk(host, disk, positions, cycle, out, budget):
     """Solve the disk with its boundary pinned to the host colors on the
-    cycle, and merge it."""
+    cycle, and place it."""
     solved = solve_disk(disk, positions, [out[e] for e in cycle.edges], budget)
     if solved is None:
         raise NoTableEntry("square disk cannot match the table entry")
-    _merge_disk(host, disk, solved.as_partial(), out)
+    _place(host, disk.embedding, disk.to_host, solved, out)
 
 
 def extend_over_face(
@@ -493,16 +457,26 @@ def extend_over_face(
     """Fill the triangulated region behind a tricolored triangle of the frame.
 
     The region is cut out, capped, solved as a sphere, recolored to agree on
-    the three boundary edges, and transplanted.
+    the three boundary edges, and transplanted.  A triangle that is a face
+    of the host has nothing behind it.
     """
+    face_of = trace_faces(host).face_of
+    if len({face_of[d] for d in face_cycle.darts}) == 1:
+        return
     disk, positions = _cycle_disk(host, face_cycle)
     if disk.interior_vertex_count() == 0:
         return
     solved = apex_solve(disk, budget=budget)
-    src = [solved[p] for p in positions]
-    dst = [out[e] for e in face_cycle.edges]
-    perm = _color_perm(src, dst)
-    _merge_disk(host, disk, solved.permuted(perm), out)
+    recolored = _recolor_to(solved, positions, [out[e] for e in face_cycle.edges])
+    _place(host, disk.embedding, disk.to_host, recolored, out)
+
+
+def _extend_over_triangles(host, sub, vmap, out, budget):
+    """Extend over every triangular face of a sub-embedding placed on the
+    host along ``vmap``."""
+    for face in trace_faces(sub).faces:
+        if len(face) == 3:
+            extend_over_face(host, _host_cycle(host, sub, vmap, face), out, budget)
 
 
 def extend_into_faces(
@@ -524,16 +498,12 @@ def extend_into_faces(
     if not is_triangulation(host):
         raise NotTriangulation("host must be a triangulation")
     budget = budget or Budget()
-    out: dict[int, int] = {}
-    for e, (u, v) in enumerate(host.edges):
-        out[refined.edge_id(u, v)] = host_coloring[e]
-    fs = trace_faces(host)
-    for f in range(fs.num_faces):
-        darts = [refined.dart(host.tail(d), host.head(d)) for d in fs.faces[f]]
-        try:
-            extend_over_face(refined, FaceCycle.from_darts(refined, darts), out, budget)
-        except SideNotADisk as exc:
-            raise NotARefinement(f"face {f} does not bound a disk region") from exc
+    identity = range(host.num_vertices)
+    out = _place(refined, host, identity, host_coloring, {})
+    try:
+        _extend_over_triangles(refined, host, identity, out, budget)
+    except SideNotADisk as exc:
+        raise NotARefinement("a host face does not bound a disk region") from exc
     if len(out) != refined.num_edges:
         raise NotARefinement("refinement has edges outside every host face")
     coloring = EdgeColoring(tuple(out[e] for e in range(refined.num_edges)))
@@ -551,12 +521,7 @@ def _finish(
     budget: Budget,
 ) -> SolveReport:
     """Extend over the frame's triangular faces, assemble, verify."""
-    sub_fs = trace_faces(frame.cat_emb)
-    for f in range(sub_fs.num_faces):
-        if sub_fs.size(f) != 3:
-            continue
-        cyc = frame.host_cycle(host, FaceCycle.from_darts(frame.cat_emb, sub_fs.faces[f]))
-        extend_over_face(host, cyc, out, budget)
+    _extend_over_triangles(host, frame.cat_emb, frame.vmap, out, budget)
     if len(out) != host.num_edges:
         raise NoTableEntry("case machinery did not cover every edge")
     coloring = EdgeColoring(tuple(out[e] for e in range(host.num_edges)))
@@ -594,7 +559,7 @@ def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
             coloring = _permute_vertices(frame.cat_emb, coloring, rho)
         else:
             raise NoTableEntry(f"no rotation of {entry.figure_id} fits types {types}")
-    out = frame.transport(host, coloring)
+    out = _place(host, frame.cat_emb, frame.vmap, coloring, {})
     for (disk, pos), cyc in zip(disks, squares):
         _pin_disk(host, disk, pos, frame.host_cycle(host, cyc), out, budget)
     return _finish(host, frame, out, method, trace, budget)
@@ -602,11 +567,7 @@ def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
 
 def _permute_vertices(emb: Embedding, coloring: PartialColoring, vperm) -> PartialColoring:
     """Transport a coloring forward along a vertex permutation."""
-    out: list[int | None] = [None] * emb.num_edges
-    for e in range(emb.num_edges):
-        u, v = emb.edge_ends(e)
-        out[emb.edge_id(vperm[u], vperm[v])] = coloring[e]
-    return PartialColoring(tuple(out))
+    return PartialColoring.from_dict(emb.num_edges, _place(emb, emb, vperm, coloring, {}))
 
 
 def reduce_pentagon_disk(
@@ -623,11 +584,14 @@ def reduce_pentagon_disk(
     """
     steps: list[str] = []
     sig = tuple(sorted(classify_pentagon([coloring[p] for p in positions]).positions))
-    direct = pentagon_direct_set(square_type)
+    if square_type == 3:
+        reductions, direct = PENTAGON_REDUCTIONS_TYPE3, PENTAGON_DIRECT_TYPE3
+    else:
+        reductions, direct = PENTAGON_REDUCTIONS_TYPE12, PENTAGON_DIRECT_TYPE12
     for _ in range(6):
         if sig in direct:
             return coloring, sig, steps
-        step = pentagon_reduction(sig, square_type)
+        step = reductions.get(sig)
         if step is None:
             raise NoTableEntry(f"pentagon signature {sig} has no reduction")
         edge_label, outcomes = step
@@ -728,8 +692,8 @@ def _route_k6_hex(host, frame, budget, trace, method) -> SolveReport:
     frame_coloring = _found(solve_exact(frame.cat_emb, fixed=pinned, budget=budget))
     if frame_coloring is None:
         raise NoTableEntry(f"frame cannot match hexagon class {cls.name}")
-    out = frame.transport(host, frame_coloring.as_partial())
-    _merge_disk(host, disk, coloring, out)
+    out = _place(host, frame.cat_emb, frame.vmap, frame_coloring, {})
+    _place(host, disk.embedding, disk.to_host, coloring, out)
     return _finish(host, frame, out, method, trace, budget)
 
 
@@ -771,15 +735,13 @@ def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
 def _route_six_regular(host, frame, budget, trace, method) -> SolveReport:
     """K7 or C11^3 inside the host: the frame is a grid triangulation, so
     color it by edge role and extend."""
-    out = frame.transport(host, altshuler_coloring(_GRID_FRAMES[frame.name]))
+    role_coloring = altshuler_coloring(_GRID_FRAMES[frame.name])
+    out = _place(host, frame.cat_emb, frame.vmap, role_coloring, {})
     trace.append("grid labeling recognized")
     return _finish(host, frame, out, method, trace, budget)
 
 
 # -- the dispatch ---------------------------------------------------------------------
-
-# the pattern a host contains -> its frame; K6 picks one of four by face census
-_PATTERN_FRAMES = {"K7": "k7", "C11^3": "c11cubed", "H7+K2": "h7k2", "C3+C5": "c3c5"}
 
 # frame -> (method, route)
 _ROUTES = {
@@ -847,11 +809,9 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
             match = dispatch_match(five_core(adj), budget)
             trace.append("contains K7" if match.pattern == "K7"
                          else f"critical subgraph {match.pattern}")
+            frame = match_frame(emb, match.pattern, match.mapping)
             if match.pattern == "K6":
-                frame = identify_k6_frame(emb, match.mapping)
                 trace.append(f"embedding variant {frame.name}")
-            else:
-                frame = match_frame(emb, _PATTERN_FRAMES[match.pattern], match.mapping)
             stage, route = _ROUTES[frame.name]
             return route(emb, frame, budget, trace, stage)
 

@@ -1,4 +1,9 @@
 import ast
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -20,9 +25,12 @@ from grunbaum.coloring import (
     classify_square,
     verify_grunbaum,
 )
+from grunbaum.cli import main
 from grunbaum.embedding import (
     FaceCycle,
     build_embedding,
+    cap_with_apex,
+    extract_disk,
     splice_disk,
     stellate_face,
     trace_faces,
@@ -51,6 +59,7 @@ from grunbaum.pipeline import (
 )
 from grunbaum import chroma, pipeline
 from grunbaum.coloring import EdgeColoring
+from grunbaum.fileio import write_embedding
 from grunbaum.solver import Budget, color_vertices_k, four_color_vertices, solve_exact
 
 DISPATCH_PATTERNS = ("K7", *CRITICAL_PATTERNS)
@@ -397,6 +406,15 @@ def _relabelled(emb, perm):
     return build_embedding(rotations)
 
 
+def _moved(host, draw):
+    """The host, mirrored and relabelled as drawn."""
+    if draw(st.booleans(), label="mirrored"):
+        host = build_embedding([r[::-1] for r in host.rotations])
+    if draw(st.booleans(), label="relabelled"):
+        host = _relabelled(host, draw(st.permutations(range(host.num_vertices))))
+    return host
+
+
 @pytest.mark.parametrize("base", list(ROUTE_HOSTS))
 @settings(max_examples=8, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -406,10 +424,7 @@ def test_any_budget_on_a_moved_route_host_ends_found_or_unknown(base, data):
     # found and aligned again, whatever ids and orientation the host uses
     host = random_refinement(ROUTE_HOSTS[base](), data.draw(st.integers(0, 30)),
                              seed=data.draw(st.integers(0, 2**16)))
-    if data.draw(st.booleans(), label="mirrored"):
-        host = build_embedding([r[::-1] for r in host.rotations])
-    if data.draw(st.booleans(), label="relabelled"):
-        host = _relabelled(host, data.draw(st.permutations(range(host.num_vertices))))
+    host = _moved(host, data.draw)
     full = solve(host)
     assert full.found and verify_grunbaum(host, full.coloring).ok
     # drawn as the shortfall, so that small draws run out late, inside the route
@@ -420,6 +435,75 @@ def test_any_budget_on_a_moved_route_host_ends_found_or_unknown(base, data):
         assert verify_grunbaum(host, report.coloring).ok
     else:
         _unknown_stage(report)
+
+
+@lru_cache(maxsize=None)
+def _triangle_disks():
+    """Chordless disks bounded by a triangle, with interior vertices.
+
+    enumerate_disks closes every three-vertex region as a bare triangle, so
+    these are cut from spheres: a chordless 4- or 5-boundary disk capped
+    with an apex, minus one face at the apex.
+    """
+    from corpus import chordfree_disks
+
+    disks = []
+    for disk in chordfree_disks(4, 2) + chordfree_disks(5, 2):
+        sphere = cap_with_apex(disk)
+        apex = sphere.num_vertices - 1
+        fs = trace_faces(sphere)
+        face = fs.faces[fs.face_of[sphere.dart(apex, sphere.rotation(apex)[0])]]
+        disks.append(extract_disk(sphere, FaceCycle.from_darts(sphere, face), "exterior"))
+    return tuple(disks)
+
+
+@st.composite
+def spliced_spheres(draw):
+    """The octahedron or the icosahedron with triangle-bounded disks spliced
+    into some faces, then 0-30 seeded stellations, mirrored and relabelled
+    as drawn."""
+    host = gen_named(draw(st.sampled_from(["octahedron", "icosahedron"])))
+    disks = _triangle_disks()
+    for _ in range(draw(st.integers(0, 3), label="splices")):
+        face = draw(st.integers(0, trace_faces(host).num_faces - 1))
+        host = splice_disk(host, face, draw(st.sampled_from(disks)))
+    host = random_refinement(host, draw(st.integers(0, 30)), seed=draw(st.integers(0, 2**16)))
+    return _moved(host, draw)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(host=spliced_spheres(), data=st.data())
+def test_any_budget_on_a_spliced_sphere_ends_found_or_unknown(host, data):
+    full = solve(host)
+    assert full.found and full.method == "TAIT"
+    assert verify_grunbaum(host, full.coloring).ok
+    # drawn as the shortfall, so that small draws run out late or not at all
+    shortfall = data.draw(st.integers(0, full.nodes), label="shortfall")
+    report = solve(host, Budget(nodes=full.nodes - shortfall))
+    if report.found:
+        assert report.method == "TAIT" and verify_grunbaum(host, report.coloring).ok
+    else:
+        _unknown_stage(report)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_budget_exits_0_found_or_1_unknown(data):
+    route_hosts = st.sampled_from(list(ROUTE_HOSTS.values())).map(lambda make: make())
+    host = data.draw(st.one_of(spliced_spheres(), route_hosts), label="host")
+    full = solve(host).nodes
+    nodes = full - data.draw(st.integers(0, full), label="shortfall")
+    # a temporary directory of its own: function-scoped fixtures are not
+    # reset between hypothesis examples
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "host.emb"
+        write_embedding(host, path)
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(["--json", "--budget", str(nodes), "solve", str(path)])
+    doc = json.loads(out.getvalue())
+    assert (code, doc["status"]) in {(0, "FOUND"), (1, "UNKNOWN")}
+    assert doc["stats"]["nodes"] <= nodes
 
 
 def test_failed_extension_is_not_reported_found(monkeypatch):
