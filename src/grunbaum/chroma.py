@@ -79,19 +79,33 @@ def find_subgraph(
     Subgraph means every pattern edge maps to a host edge; extra host edges
     between images are allowed.  Backtracking with degree pruning; pattern
     vertices are matched most-constrained-first and host candidates tried in
-    id order, so the first match is deterministic.
+    id order, so the search meets the tuples of images in lexicographic
+    order and its first match is the smallest one.
+
+    Two cuts drop only searches that cannot succeed, so they leave that
+    first match, mapping included, as it is:
+
+    - Count filter: a host with fewer vertices of at least the pattern's
+      minimum degree than the pattern has vertices holds no embedding, and
+      None is returned before any node is counted.  Isolated vertices, such
+      as those five_core peels, never count.
+    - Clique symmetry break: for a complete pattern every image must have a
+      higher host id than the one before it in the match order.  Any
+      ordering of a clique's vertices is a match, so the smallest matching
+      tuple is the sorted one, and only sorted tuples are searched.
     """
     if isinstance(pattern, str):
         name, pat = pattern, pattern_graph(pattern)
     else:
         name, pat = "custom", [set(a) for a in pattern]
     np_, nh = len(pat), len(host_adj)
-    if np_ > nh:
-        return None
-    budget = budget or Budget()
-
     pat_deg = [len(a) for a in pat]
     host_deg = [len(a) for a in host_adj]
+    min_deg = min(pat_deg, default=0)
+    if sum(1 for d in host_deg if d >= min_deg) < np_:
+        return None
+    budget = budget or Budget()
+    increasing = all(d == np_ - 1 for d in pat_deg)
     # order: start at max degree, then most-mapped-neighbours first
     order: list[int] = []
     placed = [False] * np_
@@ -110,14 +124,16 @@ def find_subgraph(
     mapping = [-1] * np_
     used = [False] * nh
 
-    def candidates(pv: int):
+    def candidates(i: int):
+        pv = order[i]
+        low = mapping[order[i - 1]] if increasing and i else -1
         anchors = [w for w in pat[pv] if mapping[w] >= 0]
         if anchors:
             base = sorted(host_adj[mapping[anchors[0]]])
         else:
             base = range(nh)
         for hv in base:
-            if used[hv] or host_deg[hv] < pat_deg[pv]:
+            if hv <= low or used[hv] or host_deg[hv] < pat_deg[pv]:
                 continue
             if all(mapping[w] in host_adj[hv] for w in pat[pv] if mapping[w] >= 0):
                 yield hv
@@ -127,7 +143,7 @@ def find_subgraph(
             return True
         budget.tick()
         pv = order[i]
-        for hv in candidates(pv):
+        for hv in candidates(i):
             mapping[pv] = hv
             used[hv] = True
             if dfs(i + 1):
@@ -152,7 +168,9 @@ def five_core(adj: Sequence[set[int]]) -> list[set[int]]:
     the dispatch has minimum degree at least 5, so each of its embeddings
     lies in the 5-core.  find_subgraph tries host vertices in id order, so
     its first match on the core, mapping included, is its first match on
-    the whole graph.
+    the whole graph.  Its count filter counts only vertices of at least the
+    pattern's minimum degree, so the peeled (now isolated) vertices do not
+    let a pattern be searched on a core too small to hold it.
     """
     core = [set(a) for a in adj]
     peel = [v for v, a in enumerate(core) if len(a) < 5]

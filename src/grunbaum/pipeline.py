@@ -479,6 +479,13 @@ def _extend_over_triangles(host, sub, vmap, out, budget):
             extend_over_face(host, _host_cycle(host, sub, vmap, face), out, budget)
 
 
+def _face_edge_sets(emb: Embedding) -> list[list[int]]:
+    """Every face's edge ids, sorted, for comparing the faces of two
+    embeddings of one graph."""
+    fs = trace_faces(emb)
+    return sorted(sorted(fs.face_edges(f)) for f in range(fs.num_faces))
+
+
 def extend_into_faces(
     host: Embedding,
     host_coloring: EdgeColoring,
@@ -489,6 +496,8 @@ def extend_into_faces(
 
     The refinement must contain the host as a subgraph on the same vertex
     ids, with all extra structure inside the host's (triangular) faces.
+    The host's faces are traced in the refinement's rotations, so a
+    refinement drawn as the host's mirror image is filled just as well.
     """
     if host.num_vertices > refined.num_vertices:
         raise NotARefinement("refinement has fewer vertices than host")
@@ -497,11 +506,15 @@ def extend_into_faces(
             raise NotARefinement(f"host edge {u}-{v} missing from refinement")
     if not is_triangulation(host):
         raise NotTriangulation("host must be a triangulation")
+    drawn = Embedding([[w for w in refined.rotation(v) if host.has_edge(v, w)]
+                       for v in range(host.num_vertices)])
+    if _face_edge_sets(drawn) != _face_edge_sets(host):
+        raise NotARefinement("refinement does not keep the host's faces")
     budget = budget or Budget()
     identity = range(host.num_vertices)
     out = _place(refined, host, identity, host_coloring, {})
     try:
-        _extend_over_triangles(refined, host, identity, out, budget)
+        _extend_over_triangles(refined, drawn, identity, out, budget)
     except SideNotADisk as exc:
         raise NotARefinement("a host face does not bound a disk region") from exc
     if len(out) != refined.num_edges:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from corpus import five_chromatic_instances, planar_corpus, toroidal_corpus
 from grunbaum.catalog import gen_named, random_refinement, triangulate_faces
 from grunbaum.chroma import (
     chromatic_number,
@@ -123,3 +126,86 @@ def test_chromatic_unknown_carries_lower_bound():
         except ChromaticUnknown as exc:
             bounds.add(exc.at_least)
     assert bounds == {4, 5, 6}
+
+
+def plain_subgraph(host, pat):
+    """find_subgraph's backtracking without its count filter and clique
+    symmetry break: the reference both cuts must agree with."""
+    np_, nh = len(pat), len(host)
+    if np_ > nh:
+        return None
+    order, placed = [], [False] * np_
+    for _ in range(np_):
+        best = max(
+            (v for v in range(np_) if not placed[v]),
+            key=lambda v: (sum(placed[w] for w in pat[v]), len(pat[v]), -v),
+        )
+        order.append(best)
+        placed[best] = True
+    mapping, used = [-1] * np_, [False] * nh
+
+    def dfs(i):
+        if i == np_:
+            return True
+        pv = order[i]
+        anchors = [w for w in pat[pv] if mapping[w] >= 0]
+        base = sorted(host[mapping[anchors[0]]]) if anchors else range(nh)
+        for hv in base:
+            if used[hv] or len(host[hv]) < len(pat[pv]):
+                continue
+            if all(mapping[w] in host[hv] for w in anchors):
+                mapping[pv], used[hv] = hv, True
+                if dfs(i + 1):
+                    return True
+                mapping[pv], used[hv] = -1, False
+        return False
+
+    return tuple(mapping) if dfs(0) else None
+
+
+PATTERNS = [(name, pattern_graph(name)) for name in ("K7", "K6", "C3+C5", "H7+K2", "C11^3")] + [
+    ("custom", complete_graph(4)),
+    ("custom", complete_graph(5)),
+    ("custom", gen_named("octahedron").adjacency()),  # 4-regular, not complete
+]
+
+
+def _agrees(host, patterns=PATTERNS):
+    for name, pat in patterns:
+        m = find_subgraph(host, pat if name == "custom" else name)
+        assert (None if m is None else m.mapping) == plain_subgraph(host, pat), name
+
+
+def _random_graph(rng, n, p):
+    adj = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u].add(v)
+                adj[v].add(u)
+    return adj
+
+
+def test_find_subgraph_cuts_keep_the_first_match_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        host = _random_graph(rng, rng.randint(1, 12), rng.choice((0.3, 0.6, 0.85, 1.0)))
+        _agrees(host)
+        _agrees(five_core(host))
+
+
+def test_find_subgraph_cuts_keep_the_first_match_on_the_corpus():
+    # the plain search is slow on a whole host that lacks one of the large
+    # named patterns, so on whole hosts only K7, K6 and the custom ones run
+    cheap = [(name, pat) for name, pat in PATTERNS if name in ("K7", "K6", "custom")]
+    for inst in toroidal_corpus() + planar_corpus() + five_chromatic_instances():
+        adj = inst.graph.adjacency()
+        _agrees(five_core(adj))
+        _agrees(adj, cheap)
+
+
+def test_filtered_miss_ticks_no_node():
+    k6 = five_core(complete_graph(6) + [set(), set(), set(), set(), set()])
+    for name in ("K7", "H7+K2", "C11^3"):
+        assert find_subgraph(k6, name, Budget(nodes=0)) is None
+    assert find_subgraph(pattern_graph("C3+C5"), "K7", Budget(nodes=0)) is None

@@ -198,6 +198,35 @@ def test_extend_rejects_non_refinement():
         extend_into_faces(emb, coloring, gen_named("icosahedron"))
 
 
+def test_extend_into_mirrored_refinements():
+    # a refinement drawn as the host's mirror image traces every host face
+    # the other way round; each probe must come out colored and verified
+    emb = gen_named("octahedron")
+    coloring = solve_planar(emb).coloring
+    for k in range(4):
+        for seed in range(4):
+            refined = build_embedding(
+                [r[::-1] for r in random_refinement(emb, k, seed=seed).rotations]
+            )
+            out = extend_into_faces(emb, coloring, refined)
+            assert verify_grunbaum(refined, out).ok, (k, seed)
+            for e, (u, v) in enumerate(emb.edges):
+                assert out[refined.edge_id(u, v)] == coloring[e]
+
+
+def test_extend_rejects_reordered_host_rotation():
+    # swapping two host neighbours in one rotation changes the host's faces
+    emb = gen_named("octahedron")
+    coloring = solve_planar(emb).coloring
+    rotations = [list(r) for r in random_refinement(emb, 3, seed=1).rotations]
+    for v in range(emb.num_vertices):
+        rot = [list(r) for r in rotations]
+        i, j = [x for x, w in enumerate(rot[v]) if w < emb.num_vertices][:2]
+        rot[v][i], rot[v][j] = rot[v][j], rot[v][i]
+        with pytest.raises(NotARefinement):
+            extend_into_faces(emb, coloring, build_embedding(rot))
+
+
 def test_apply_case_table_examples():
     entry = apply_case_table("444B", (1, 1, 3))
     assert entry.info["signatures"] == ["B1", "A", "B1"]

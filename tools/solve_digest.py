@@ -1,9 +1,12 @@
 """Digest what ``pipeline.solve`` returns on fixed input sets.
 
 For the checkout this file lives in, prints one line per input set: the
-set's name, its input count and a SHA-256 over every input's status,
-method, trace, ``stats.nodes`` and coloring.  Two checkouts that print the
-same lines solve those inputs identically; wall times are left out.
+set's name, its input count, a SHA-256 over every input's status, method,
+trace, ``stats.nodes`` and coloring, and after ``outcomes=`` a second
+SHA-256 over the same fields without ``stats.nodes``.  Two checkouts that
+print the same lines solve those inputs identically; two that differ only
+in the first hash reach the same outcomes with other node counts.  Wall
+times are left out.
 
 The input sets are each benchmark workload (built by ``bench/workloads.py``)
 at every seed given, then the toroidal, planar and five-chromatic instances
@@ -38,19 +41,24 @@ CORPUS_SETS = {
 }
 
 
-def outcome(emb) -> str:
+def outcome(emb) -> list:
     report = solve(emb)
     coloring = None if report.coloring is None else list(report.coloring.colors)
-    return json.dumps([report.status, report.method, list(report.trace),
-                       report.nodes, coloring])
+    return [report.status, report.method, list(report.trace), report.nodes, coloring]
 
 
 def digest(outcomes) -> str:
     h = hashlib.sha256()
-    for line in outcomes:
-        h.update(line.encode())
+    for fields in outcomes:
+        h.update(json.dumps(fields).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def summary(name: str, outcomes: list) -> str:
+    """The set's line: both hashes, the second with ``stats.nodes`` left out."""
+    no_nodes = [fields[:3] + fields[4:] for fields in outcomes]
+    return f"{name} ({len(outcomes)} inputs): {digest(outcomes)} outcomes={digest(no_nodes)}"
 
 
 def main(argv=None) -> int:
@@ -64,10 +72,10 @@ def main(argv=None) -> int:
             inputs = workloads.build(name, seed, grunbaum)
             lines = [outcome(grunbaum.fileio.read_embedding(io.StringIO(inp.text)))
                      for inp in inputs]
-            print(f"{name} seed={seed} ({len(lines)} inputs): {digest(lines)}", flush=True)
+            print(summary(f"{name} seed={seed}", lines), flush=True)
     for name, instances in CORPUS_SETS.items():
         lines = [outcome(inst.embedding) for inst in instances()]
-        print(f"{name} ({len(lines)} inputs): {digest(lines)}", flush=True)
+        print(summary(name, lines), flush=True)
     return 0
 
 
