@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from importlib import resources
 from .coloring import PartialColoring, verify_partial
@@ -20,7 +21,6 @@ from .embedding import (
     build_embedding,
     cone_face,
     genus,
-    stellate_face,
     trace_faces,
 )
 from .errors import FaceNotTriangle, NotSimple, UnknownId
@@ -248,20 +248,41 @@ def triangulate_faces(emb: Embedding) -> Embedding:
         out = cone_face(out, big[0])
 
 
+def _dart_key(u: int, v: int) -> tuple[int, int, bool]:
+    """Sorts darts as their ids do: by edge ends, then u -> v after v -> u."""
+    return (u, v, False) if u < v else (v, u, True)
+
+
 def random_refinement(emb: Embedding, steps: int, seed: int = 0) -> Embedding:
     """Stellate ``steps`` times into faces chosen by a seeded generator.
 
-    Reproducible per seed; genus is preserved by each stellation.
+    Reproducible per seed; genus is preserved by each stellation.  Each step
+    draws from the triangles in face-id order, the order of their least
+    darts.  A new vertex outranks every old one, so the three triangles it
+    makes start at the stellated face's darts and no other face changes: the
+    sorted list and the rotations are edited in place, and one embedding is
+    built at the end.
     """
     rng = random.Random(seed)
-    out = emb
+    fs = trace_faces(emb)
+    walks = (fs.face_vertices(emb, f) for f in range(fs.num_faces) if fs.size(f) == 3)
+    # (key of the least dart, vertex walk from that dart), sorted
+    triangles = [(_dart_key(a, b), (a, b, c)) for a, b, c in walks]
+    rotations = [list(r) for r in emb.rotations]
     for _ in range(steps):
-        fs = trace_faces(out)
-        triangles = [f for f in range(fs.num_faces) if fs.size(f) == 3]
         if not triangles:
             raise FaceNotTriangle("no triangular face to stellate")
-        out = stellate_face(out, rng.choice(triangles))
-    return out
+        picked = rng.choice(triangles)
+        del triangles[bisect_left(triangles, picked)]
+        walk = picked[1]
+        w = len(rotations)
+        for i, corner in enumerate(walk):
+            rot = rotations[corner]
+            rot.insert(rot.index(walk[i - 1]) + 1, w)
+            nxt = walk[(i + 1) % 3]
+            insort(triangles, (_dart_key(corner, nxt), (corner, nxt, w)))
+        rotations.append(list(reversed(walk)))
+    return Embedding(rotations) if steps > 0 else emb
 
 
 # -- exhaustive disk generation ----------------------------------------------------

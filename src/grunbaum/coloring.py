@@ -141,11 +141,12 @@ def verify_grunbaum(emb: Embedding, coloring: EdgeColoring) -> VerificationRepor
         raise ColoringIncomplete(
             f"coloring covers {len(coloring)} of {emb.num_edges} edges"
         )
+    colors = coloring.colors
     violations = []
-    for f, darts in enumerate(fs.faces):
-        cs = tuple(coloring[d >> 1] for d in darts)
-        if len(set(cs)) != 3:
-            violations.append((f, cs))
+    for f, (d0, d1, d2) in enumerate(fs.faces):
+        a, b, c = colors[d0 >> 1], colors[d1 >> 1], colors[d2 >> 1]
+        if a == b or b == c or a == c:
+            violations.append((f, (a, b, c)))
     return VerificationReport(
         "pass" if not violations else "fail",
         tuple(violations),

@@ -11,6 +11,7 @@ listed counterclockwise this walks every face counterclockwise.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
@@ -26,46 +27,77 @@ from .errors import (
 )
 
 
+def _first_fault(rot: Sequence[Sequence[int]]) -> Exception:
+    """The first fault of invalid rotations: range, loop and parallel entries
+    vertex by vertex, then a neighbour that does not list its vertex back."""
+    n = len(rot)
+    for v, nbrs in enumerate(rot):
+        for w in nbrs:
+            if not 0 <= w < n:
+                return AsymmetricAdjacency(f"vertex {v} lists unknown vertex {w}")
+            if w == v:
+                return LoopEdge(f"vertex {v} lists itself")
+        if len(set(nbrs)) != len(nbrs):
+            return ParallelEdge(f"vertex {v} lists a neighbour twice")
+    nbr_sets = [set(nbrs) for nbrs in rot]
+    for v, nbrs in enumerate(rot):
+        for w in nbrs:
+            if v not in nbr_sets[w]:
+                return AsymmetricAdjacency(f"{w} in rotation of {v} but not conversely")
+    raise AssertionError("rotations have no fault")
+
+
 class Embedding:
     """Immutable rotation system of a simple connected graph.
 
     ``rotations[v]`` is the cyclic sequence of v's neighbours in embedding
     order.  All validation happens here; helper constructors such as
-    :func:`build_embedding` simply delegate.
+    :func:`build_embedding` simply delegate.  Invalid input raises its first
+    fault: range, loop and parallel entries vertex by vertex, then a missing
+    reverse entry, then disconnection.  The edge and dart tables are built
+    in one pass per vertex; :func:`trace_faces` and :func:`dual_graph` cache
+    their results on the embedding.
     """
 
-    __slots__ = ("_rot", "_edges", "_eindex", "_succ", "_faces")
+    __slots__ = ("_rot", "_edges", "_eindex", "_succ", "_faces", "_dual")
 
     def __init__(self, rotations: Sequence[Sequence[int]]):
-        rot = tuple(tuple(r) for r in rotations)
+        rot = tuple(map(tuple, rotations))
         n = len(rot)
+        # edges come out in lexicographic order: by low end, then high end
+        edges: list[tuple[int, int]] = []
         for v, nbrs in enumerate(rot):
-            for w in nbrs:
-                if not 0 <= w < n:
-                    raise AsymmetricAdjacency(f"vertex {v} lists unknown vertex {w}")
-                if w == v:
-                    raise LoopEdge(f"vertex {v} lists itself")
-            if len(set(nbrs)) != len(nbrs):
-                raise ParallelEdge(f"vertex {v} lists a neighbour twice")
-        nbr_sets = [set(nbrs) for nbrs in rot]
-        for v, nbrs in enumerate(rot):
-            for w in nbrs:
-                if v not in nbr_sets[w]:
-                    raise AsymmetricAdjacency(f"{w} in rotation of {v} but not conversely")
+            ordered = sorted(nbrs)
+            i = bisect_right(ordered, v)
+            if ordered and (ordered[0] < 0 or ordered[-1] >= n
+                            or (i and ordered[i - 1] == v)
+                            or len(set(ordered)) != len(ordered)):
+                raise _first_fault(rot)
+            edges += [(v, w) for w in ordered[i:]]
+        ne = len(edges)
+        eindex = dict(zip(edges, range(ne)))
 
-        edges = sorted((min(u, v), max(u, v)) for u in range(n) for v in rot[u] if u < v)
+        # rotation successor on darts: succ[dart(v, n_i)] = dart(v, n_{i+1});
+        # a neighbour that does not list v back fails the lookup or the count
+        if sum(map(len, rot)) != 2 * ne:
+            raise _first_fault(rot)
+        succ = [0] * (2 * ne)
+        try:
+            for v, nbrs in enumerate(rot):
+                ds = [2 * eindex[v, w] if v < w else 2 * eindex[w, v] + 1 for w in nbrs]
+                prev = ds[-1] if ds else 0
+                for d in ds:
+                    succ[prev] = d
+                    prev = d
+        except KeyError:
+            raise _first_fault(rot) from None
+
         self._rot = rot
         self._edges = tuple(edges)
-        self._eindex = {uv: e for e, uv in enumerate(edges)}
-
-        # rotation successor on darts: succ[dart(v, n_i)] = dart(v, n_{i+1})
-        succ = [0] * (2 * len(edges))
-        for v, nbrs in enumerate(rot):
-            k = len(nbrs)
-            for i, w in enumerate(nbrs):
-                succ[self.dart(v, w)] = self.dart(v, nbrs[(i + 1) % k])
+        self._eindex = eindex
         self._succ = tuple(succ)
         self._faces = None
+        self._dual = None
 
         if n and not self._connected():
             raise Disconnected("graph is not connected")
@@ -187,11 +219,13 @@ class FaceSet:
 
 
 def trace_faces(emb: Embedding) -> FaceSet:
-    """Orbit decomposition of the face-successor permutation."""
+    """Orbit decomposition of the face-successor permutation, computed once
+    per embedding and cached on it."""
     cached = emb._faces
     if cached is not None:
         return cached
-    nd = emb.num_darts
+    succ = emb._succ
+    nd = len(succ)
     face_of = [-1] * nd
     faces = []
     for d0 in range(nd):
@@ -203,7 +237,7 @@ def trace_faces(emb: Embedding) -> FaceSet:
         while face_of[d] < 0:
             face_of[d] = fid
             walk.append(d)
-            d = emb.face_next(d)
+            d = succ[d ^ 1]
         faces.append(tuple(walk))
     result = FaceSet(tuple(faces), tuple(face_of))
     emb._faces = result
@@ -247,7 +281,12 @@ class DualGraph:
 
 
 def dual_graph(emb: Embedding) -> DualGraph:
+    """The dual of the traced faces, computed once per embedding and cached
+    on it, as :func:`trace_faces` caches the faces."""
     fs = trace_faces(emb)
+    cached = emb._dual
+    if cached is not None:
+        return cached
     sides = []
     adj: list[list[tuple[int, int]]] = [[] for _ in range(fs.num_faces)]
     for e in range(emb.num_edges):
@@ -255,7 +294,9 @@ def dual_graph(emb: Embedding) -> DualGraph:
         sides.append((fa, fb))
         adj[fa].append((fb, e))
         adj[fb].append((fa, e))
-    return DualGraph(fs.num_faces, tuple(tuple(a) for a in adj), tuple(sides))
+    result = DualGraph(fs.num_faces, tuple(tuple(a) for a in adj), tuple(sides))
+    emb._dual = result
+    return result
 
 
 # -- cycles and separation ----------------------------------------------------

@@ -51,7 +51,7 @@ def read_embedding(source: str | Path | TextIO) -> Embedding:
         left, right = line.split(":", 1)
         try:
             v = int(left)
-            nbrs = [int(tok) for tok in right.split()]
+            nbrs = list(map(int, right.split()))
         except ValueError as exc:
             raise FormatError(f"malformed vertex line: {line!r}") from exc
         if not 0 <= v < n:

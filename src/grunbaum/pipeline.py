@@ -358,7 +358,8 @@ def _restrict_rotations(host: Embedding, vmap: Sequence[int]) -> Embedding:
 
 
 # the pattern a host contains -> the frames it can sit in; K6 has four torus
-# embeddings, and the two (4,4,4) ones share a face census
+# embeddings, and the two (4,4,4) ones share a face census but not a corner
+# profile
 _PATTERN_FRAMES = {
     "K7": ("k7",),
     "K6": ("k6-54", "k6-6", "k6-444a", "k6-444b"),
@@ -368,26 +369,41 @@ _PATTERN_FRAMES = {
 }
 
 
+def _face_signature(emb: Embedding) -> tuple:
+    """Face census and corner profile (the sorted multisets of face sizes
+    around each vertex, sorted); every isomorphism, mirrored or not, keeps
+    both."""
+    fs = trace_faces(emb)
+    size = [len(fs.faces[f]) for f in fs.face_of]  # per dart
+    corners: list[list[int]] = [[] for _ in range(emb.num_vertices)]
+    for e, (u, v) in enumerate(emb.edges):
+        corners[u].append(size[2 * e])
+        corners[v].append(size[2 * e + 1])
+    return fs.census(), sorted(sorted(c) for c in corners)
+
+
 def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
     """Align a frame of the pattern with a matched subgraph of the host.
 
     ``mapping`` sends pattern vertices to host vertices.  The host rotations
     restricted to the matched vertices give the induced sub-embedding; the
-    first of the pattern's frames with the same face census that is
-    isomorphic to it (possibly after a mirror flip) is the frame, and the
-    composed map carries every catalog labeling onto host darts.  K7 and
-    C11^3 are aligned with their grid embedding, whose edge roles color them.
+    first of the pattern's frames with the same face census and corner
+    profile that is isomorphic to it (possibly after a mirror flip) is the
+    frame, and the composed map carries every catalog labeling onto host
+    darts.  K7 and C11^3 are aligned with their grid embedding, whose edge
+    roles color them.
     """
     sub = _restrict_rotations(host, mapping)
-    census = trace_faces(sub).census()
+    signature = _face_signature(sub)
     for name in _PATTERN_FRAMES[pattern]:
         grid = _GRID_FRAMES.get(name)
         cat_emb = grid.embedding if grid else cat.catalog_embedding(name)
-        if trace_faces(cat_emb).census() != census:
+        if _face_signature(cat_emb) != signature:
             continue
         for vmap_cs in embedding_isomorphisms(cat_emb, sub):
             return Frame(name, cat_emb, tuple(mapping[w] for w in vmap_cs))
-    raise NoTableEntry(f"no frame of {pattern} matches its sub-embedding with faces {census}")
+    raise NoTableEntry(
+        f"no frame of {pattern} matches its sub-embedding with faces {signature[0]}")
 
 
 # -- assembling and extending -------------------------------------------------------

@@ -71,7 +71,7 @@ class SolveReport:
         }
         if self.coloring is not None and emb is not None:
             doc["coloring"] = [
-                [u, v, self.coloring[e]] for e, (u, v) in enumerate(emb.edges)
+                [u, v, c] for (u, v), c in zip(emb.edges, self.coloring.colors, strict=True)
             ]
         return json.dumps(doc)
 

@@ -115,6 +115,33 @@ def test_random_refinement_deterministic():
     assert random_refinement(k7, 0, seed=9).rotations == k7.rotations
 
 
+def _stellate_by_retracing(emb, steps, seed):
+    """Reference refinement: re-trace the faces and re-build after each step."""
+    import random
+
+    from grunbaum.embedding import stellate_face
+
+    rng = random.Random(seed)
+    out = emb
+    for _ in range(steps):
+        fs = trace_faces(out)
+        out = stellate_face(out, rng.choice([f for f in range(fs.num_faces) if fs.size(f) == 3]))
+    return out
+
+
+@pytest.mark.parametrize("base", ["octahedron", "icosahedron", "K7", "T(3,4,1)", "k6-54",
+                                  "k6-6", "C3+C5"])
+def test_random_refinement_matches_retracing(base):
+    emb = {"T(3,4,1)": lambda: gen_altshuler(3, 4, 1).embedding,
+           "k6-54": lambda: gen_k6("54"),
+           "k6-6": lambda: gen_k6("6")}.get(base, lambda: gen_named(base))()
+    for steps in (0, 1, 2, 7, 30, 200):
+        for seed in (0, 1, 17):
+            refined = random_refinement(emb, steps, seed=seed)
+            assert refined.rotations == _stellate_by_retracing(emb, steps, seed).rotations
+    assert random_refinement(emb, 0) is emb
+
+
 def test_triangulate_faces():
     full = triangulate_faces(gen_k6("54"))
     assert is_triangulation(full) and genus(full) == 1

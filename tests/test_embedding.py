@@ -291,3 +291,128 @@ def test_splice_disk_round_trip():
     assert genus(spliced) == 1
     assert is_triangulation(spliced)
     assert spliced.num_vertices == 8
+
+
+# -- the constructor against a plain reference --------------------------------
+
+
+def _reference_tables(rotations):
+    """Edges, dart ids and rotation successors as plain loops build them,
+    validating in the constructor's order; raises what the constructor must."""
+    from collections import deque
+
+    rot = tuple(tuple(r) for r in rotations)
+    n = len(rot)
+    for v, nbrs in enumerate(rot):
+        for w in nbrs:
+            if not 0 <= w < n:
+                raise AsymmetricAdjacency(f"vertex {v} lists unknown vertex {w}")
+            if w == v:
+                raise LoopEdge(f"vertex {v} lists itself")
+        if len(set(nbrs)) != len(nbrs):
+            raise ParallelEdge(f"vertex {v} lists a neighbour twice")
+    nbr_sets = [set(nbrs) for nbrs in rot]
+    for v, nbrs in enumerate(rot):
+        for w in nbrs:
+            if v not in nbr_sets[w]:
+                raise AsymmetricAdjacency(f"{w} in rotation of {v} but not conversely")
+    edges = sorted((min(u, v), max(u, v)) for u in range(n) for v in rot[u] if u < v)
+    eindex = {uv: e for e, uv in enumerate(edges)}
+
+    def dart(u, v):
+        return 2 * eindex[(min(u, v), max(u, v))] + (0 if u < v else 1)
+
+    succ = [0] * (2 * len(edges))
+    for v, nbrs in enumerate(rot):
+        for i, w in enumerate(nbrs):
+            succ[dart(v, w)] = dart(v, nbrs[(i + 1) % len(nbrs)])
+    if n:
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            for w in rot[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) != n:
+            raise Disconnected("graph is not connected")
+    return tuple(edges), dart, succ
+
+
+def _relabeled(emb, rng):
+    """The embedding with shuffled ids, shifted rotation starts and, by a
+    coin flip, mirrored rotations."""
+    n = emb.num_vertices
+    ids = list(range(n))
+    rng.shuffle(ids)
+    mirror = rng.random() < 0.5
+    rotations = [None] * n
+    for v, nbrs in enumerate(emb.rotations):
+        rot = [ids[w] for w in (reversed(nbrs) if mirror else nbrs)]
+        k = rng.randrange(len(rot))
+        rotations[ids[v]] = rot[k:] + rot[:k]
+    return rotations
+
+
+def _constructor_hosts():
+    import random
+
+    from corpus import five_chromatic_instances, planar_corpus, toroidal_corpus
+
+    hosts = [inst.graph for inst in (*toroidal_corpus(), *planar_corpus(),
+                                     *five_chromatic_instances())]
+    rng = random.Random(5)
+    for base in (build_embedding(OCT), build_embedding(K7), gen_k6("54"), gen_k6("6")):
+        for seed in range(4):
+            refined = random_refinement(base, rng.randrange(60), seed=seed)
+            hosts += [refined, Embedding(_relabeled(refined, rng))]
+    return hosts
+
+
+def test_constructor_matches_reference_tables():
+    hosts = _constructor_hosts()
+    assert len(hosts) > 230
+    for emb in hosts:
+        edges, dart, succ = _reference_tables(emb.rotations)
+        assert emb.edges == edges
+        for u, v in edges:
+            assert (emb.dart(u, v), emb.dart(v, u)) == (dart(u, v), dart(v, u))
+        assert [emb.face_next(d) for d in range(emb.num_darts)] == [
+            succ[d ^ 1] for d in range(emb.num_darts)]
+
+
+MALFORMED = {
+    "out of range": [[1, 5], [0]],
+    "negative": [[1, -1], [0]],
+    "loop": [[0, 1], [0]],
+    "parallel": [[1, 1], [0, 0]],
+    "range after a repeat": [[1, 1, 7], [0]],
+    "parallel before a loop": [[1, 2], [0, 2, 2], [1, 0], [3]],
+    # 0 lists 2, which does not list 0 back: the higher side is missing
+    "asymmetric, higher side missing": [[1, 2], [0, 2], [1]],
+    # 2 lists 0, which does not list 2 back: the lower side is missing
+    "asymmetric, lower side missing": [[1], [0, 2], [1, 0]],
+    # the lists hold 2E entries in all, yet 3 lists 1 and 0 lists 2 alone
+    "asymmetric, count balanced": [[1, 2], [0, 2], [1, 3], [2, 1]],
+    "asymmetric before a loop": [[1, 2], [0], [0, 3], [3]],
+    "disconnected": [[1], [0], [3], [2]],
+    "isolated vertex": [[1], [0], []],
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_rotations_raise_as_reference(name):
+    rotations = MALFORMED[name]
+    with pytest.raises(Exception) as expected:
+        _reference_tables(rotations)
+    with pytest.raises(type(expected.value)) as raised:
+        Embedding(rotations)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_dual_graph_is_cached_and_equals_a_fresh_build():
+    for emb in (build_embedding(K7), gen_k6("54"), random_refinement(build_embedding(OCT), 9)):
+        dual = dual_graph(emb)
+        assert dual_graph(emb) is dual
+        assert dual == dual_graph(Embedding(emb.rotations))

@@ -360,6 +360,26 @@ def test_apex_solve_budget_raises_budget_exceeded():
         apex_solve(pent, Budget(nodes=1))
 
 
+@pytest.mark.parametrize("name", ["k6-444a", "k6-444b"])
+def test_444_frames_found_with_one_isomorphism_search(name, monkeypatch):
+    # both (4,4,4) frames share a face census; their corner profiles tell
+    # them apart before any alignment is tried
+    host = _route_host(name)
+    match = chroma.dispatch_match(five_core(host.adjacency()))
+    assert match.pattern == "K6"
+    searched = []
+    isomorphisms = pipeline.embedding_isomorphisms
+
+    def counted(cat_emb, sub):
+        searched.append(cat_emb)
+        return isomorphisms(cat_emb, sub)
+
+    monkeypatch.setattr(pipeline, "embedding_isomorphisms", counted)
+    frame = pipeline.match_frame(host, match.pattern, match.mapping)
+    assert frame.name == name
+    assert searched == [catalog_embedding(name)]
+
+
 def _unknown_stage(report):
     assert report.status == "UNKNOWN" and report.coloring is None
     stage, _, message = report.trace[-1].partition(": ")

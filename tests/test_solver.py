@@ -1,14 +1,17 @@
+import json
 import random
 from itertools import product
 
 import pytest
 
 from grunbaum.catalog import gen_altshuler, gen_named
-from grunbaum.coloring import PartialColoring, verify_grunbaum
+from grunbaum.coloring import EdgeColoring, PartialColoring, verify_grunbaum
 from grunbaum.embedding import build_embedding, trace_faces
 from grunbaum.errors import BudgetExceeded
 from grunbaum.solver import (
+    FOUND,
     Budget,
+    SolveReport,
     color_vertices_k,
     count_grunbaum_colorings,
     four_color_vertices,
@@ -32,6 +35,15 @@ def test_k4_count_matches_brute_force():
     # frozen value: 729 raw assignments, 6 survive the four face constraints
     assert brute_force_count(K4) == 6
     assert count_grunbaum_colorings(K4) == 6
+
+
+def test_report_json_lists_every_edge_once():
+    report = solve_exact(K4)
+    doc = json.loads(report.to_json(K4))
+    assert doc["coloring"] == [[u, v, c] for (u, v), c in zip(K4.edges, report.coloring.colors)]
+    for colors in (report.coloring.colors[:-1], report.coloring.colors + (0,)):
+        with pytest.raises(ValueError):
+            SolveReport(FOUND, EdgeColoring(colors)).to_json(K4)
 
 
 def test_octahedron_find():

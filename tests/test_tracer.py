@@ -40,3 +40,7 @@ def test_tracer_installs_and_uninstalls_on_every_layer():
     assert tracer.stats["pipeline.solve"].calls == 1
     assert tracer.stats["pipeline.match_frame"].calls == 1
     assert tracer.stats["pipeline.extend_over_face"].calls > 0
+    # the embedding tables are built where the tracer sees them, so their
+    # calls and self time stay in the benchmark's per-layer metrics
+    for layer in ("embedding.Embedding", "embedding.trace_faces", "embedding.dual_graph"):
+        assert tracer.stats[layer].calls > 0, layer
