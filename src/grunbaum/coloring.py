@@ -158,18 +158,13 @@ def verify_grunbaum(emb: Embedding, coloring: EdgeColoring) -> VerificationRepor
     )
 
 
-def verify_partial(
-    emb: Embedding,
-    coloring: PartialColoring,
-    exempt_faces: Iterable[int] = (),
-) -> VerificationReport:
+def verify_partial(emb: Embedding, coloring: PartialColoring) -> VerificationReport:
     """Check only fully colored triangular faces; everything else passes."""
     fs = trace_faces(emb)
-    exempt = set(exempt_faces)
     violations = []
     checked = 0
     for f, darts in enumerate(fs.faces):
-        if len(darts) != 3 or f in exempt:
+        if len(darts) != 3:
             continue
         cs = tuple(coloring[d >> 1] for d in darts)
         if None in cs:

@@ -12,7 +12,7 @@ listed counterclockwise this walks every face counterclockwise.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -464,27 +464,19 @@ def extract_disk(
     if not region.isdisjoint(fs.face_of[d ^ 1] for d in darts):
         raise SideNotADisk("cycle does not separate; no disk on that side")
 
-    keep_edges = set()
-    for e in range(emb.num_edges):
-        fa, fb = fs.face_of[2 * e], fs.face_of[2 * e + 1]
-        ina, inb = fa in region, fb in region
-        if ina and inb:
-            if e in blocked:
-                raise SideNotADisk("cycle edge has both sides in the region")
-            keep_edges.add(e)
-        elif ina or inb:
-            if e not in blocked:
-                raise SideNotADisk("region leaks across a non-cycle edge")
-            keep_edges.add(e)
+    kept = defaultdict(set)  # kept vertex -> its neighbours in the region
+    for d in (d for f in region for d in fs.faces[f]):
+        both = fs.face_of[d ^ 1] in region
+        if both == (d >> 1 in blocked):
+            raise SideNotADisk("cycle edge has both sides in the region" if both
+                               else "region leaks across a non-cycle edge")
+        u, v = emb.edge_ends(d >> 1)
+        kept[u].add(v)
+        kept[v].add(u)
 
-    verts = sorted({v for e in keep_edges for v in emb.edge_ends(e)})
+    verts = sorted(kept)
     relabel = {v: i for i, v in enumerate(verts)}
-    rotations = []
-    for v in verts:
-        rotations.append(
-            [relabel[w] for w in emb.rotation(v) if emb.edge_id(v, w) in keep_edges]
-        )
-    sub = Embedding(rotations)
+    sub = Embedding([[relabel[w] for w in emb.rotation(v) if w in kept[v]] for v in verts])
     if genus(sub) != 0:
         raise SideNotADisk("region side is not planar")
 

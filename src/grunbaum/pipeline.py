@@ -32,7 +32,6 @@ from .embedding import (
     Disk,
     Embedding,
     FaceCycle,
-    cap_with_apex,
     extract_disk,
     genus,
     is_triangulation,
@@ -163,8 +162,8 @@ def _verified_report(
 def _found(report: SolveReport) -> EdgeColoring | None:
     """A sub-search's coloring, or None when it proved that none exists.
 
-    UNKNOWN (an exhausted budget, or a lift that failed its check) goes back
-    up as BudgetExceeded, so that only the entry points turn it into a report.
+    UNKNOWN (an exhausted budget) goes back up as BudgetExceeded, so that
+    only the entry points turn it into a report.
     """
     if report.status == UNKNOWN:
         raise BudgetExceeded(report.trace[-1])
@@ -193,21 +192,31 @@ def _cycle_disk(host: Embedding, cycle: FaceCycle) -> tuple[Disk, tuple[int, ...
     )
 
 
-def apex_solve(disk: Disk, budget: Budget | None = None) -> PartialColoring:
-    """Color a disk by capping it with an apex and solving the sphere.
+def _lift_disk(disk: Disk, palette: Sequence[Sequence[int]], budget: Budget | None,
+               seed_clique: Sequence[int] | None = None) -> EdgeColoring | None:
+    """A disk coloring lifted from a vertex 4-coloring, or None if there is none.
 
-    The restriction to the disk's own edges is returned; its boundary colors
-    obey the parity forced by a separating cycle in the capped sphere.
+    A disk is simply connected, so its colorings are exactly the lifts
+    ``c(u) ^ c(v)``.  Palette vertices n, n+1, ... join the disk's graph,
+    ``palette[i]`` the neighbours of n+i, to steer c; the lift leaves them out.
     """
-    capped = cap_with_apex(disk)
-    coloring = _found(solve_planar(capped, budget=budget))
+    emb = disk.embedding
+    n = emb.num_vertices
+    adj = emb.adjacency() + [set(nbrs) for nbrs in palette]
+    for i, nbrs in enumerate(palette):
+        for w in nbrs:
+            adj[w].add(n + i)
+    vc = color_vertices_k(adj, 4, budget, seed_clique)
+    return None if vc is None else tait_lift(emb, vc[:n])
+
+
+def apex_solve(disk: Disk, budget: Budget | None = None) -> PartialColoring:
+    """Color a disk as the sphere an apex over its boundary closes it into
+    (``cap_with_apex``'s graph), with the boundary parity that sphere forces."""
+    coloring = _lift_disk(disk, [disk.boundary_vertices()], budget)
     if coloring is None:
         raise NoTableEntry("capped disk is not 4-colorable")
-    emb = disk.embedding
-    colors = []
-    for u, v in emb.edges:
-        colors.append(coloring[capped.edge_id(u, v)])
-    return PartialColoring(tuple(colors))
+    return coloring.as_partial()
 
 
 # one pinned boundary per square signature: a signature fixes the exact
@@ -226,12 +235,27 @@ def solve_disk(
     colors: Sequence[int],
     budget: Budget | None = None,
 ) -> EdgeColoring | None:
-    """Color a disk with the boundary edges at ``positions`` pinned to
-    ``colors``; None when no such coloring exists."""
-    fixed = PartialColoring.from_dict(disk.embedding.num_edges, dict(zip(positions, colors)))
-    return _found(solve_exact(
-        disk.embedding, fixed=fixed, exempt_faces=(disk.outer_face,), budget=budget
-    ))
+    """Color a disk with its boundary edges at ``positions`` pinned to
+    ``colors``, all of them and no other edge; None when no such coloring
+    exists.
+
+    The pins give the boundary labels, from 0 on, by label changes of pin + 1.
+    A walk that does not close is the parity lemma and spends no node;
+    otherwise a palette K4 holds each boundary vertex to its label.
+    """
+    pins = dict(zip(positions, colors))
+    if pins.keys() != set(disk.boundary_edges):
+        raise ValueError("solve_disk pins exactly the disk's boundary edges")
+    labels = [0]
+    for e in disk.boundary_edges:
+        labels.append(labels[-1] ^ (pins[e] + 1))
+    if labels.pop():
+        return None
+    n = disk.embedding.num_vertices
+    palette = [[n + j for j in range(4) if j != i]
+               + [v for v, c in zip(disk.boundary_vertices(), labels) if c != i]
+               for i in range(4)]
+    return _lift_disk(disk, palette, budget, seed_clique=range(n, n + 4))
 
 
 def achievable_square_kinds(
@@ -472,9 +496,9 @@ def extend_over_face(
 ):
     """Fill the triangulated region behind a tricolored triangle of the frame.
 
-    The region is cut out, capped, solved as a sphere, recolored to agree on
-    the three boundary edges, and transplanted.  A triangle that is a face
-    of the host has nothing behind it.
+    The region is cut out, colored as the sphere an apex closes it into,
+    recolored to agree on the three boundary edges, and transplanted.  A
+    triangle that is a face of the host has nothing behind it.
     """
     face_of = trace_faces(host).face_of
     if len({face_of[d] for d in face_cycle.darts}) == 1:

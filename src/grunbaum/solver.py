@@ -12,7 +12,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .coloring import COLORS, EdgeColoring, PartialColoring
 from .embedding import Embedding, dual_graph, trace_faces
@@ -76,13 +76,11 @@ class SolveReport:
         return json.dumps(doc)
 
 
-def _edge_order(emb: Embedding, exempt: frozenset[int]) -> tuple[list[int], list[list[int]]]:
+def _edge_order(emb: Embedding) -> tuple[list[int], list[list[int]]]:
     """Static branching order plus, per edge, the constrained triangles on it."""
     fs = trace_faces(emb)
     dual = dual_graph(emb)
-    active = [
-        f for f in range(fs.num_faces) if fs.size(f) == 3 and f not in exempt
-    ]
+    active = [f for f in range(fs.num_faces) if fs.size(f) == 3]
     # BFS over the dual from face 0
     order_faces: list[int] = []
     seen = {0} if fs.num_faces else set()
@@ -117,14 +115,13 @@ def solve_exact(
     emb: Embedding,
     fixed: PartialColoring | None = None,
     mode: str = "find",
-    exempt_faces: Iterable[int] = (),
     budget: Budget | None = None,
 ):
     """Exhaustive backtracking over edge colors.
 
-    Only triangular faces outside ``exempt_faces`` are constrained, which is
-    exactly the partial-coloring rule: a disk is solved by exempting its
-    outer face, an embedding with larger faces constrains just its triangles.
+    Only triangular faces are constrained, which is exactly the
+    partial-coloring rule: an embedding with larger faces, such as a disk
+    with a boundary of four or more edges, constrains just its triangles.
 
     mode "find" returns a SolveReport; "count" returns the number of total
     colorings; "enumerate" returns an iterator of EdgeColoring.
@@ -132,14 +129,13 @@ def solve_exact(
     if mode not in ("find", "count", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
     budget = budget or Budget()
-    exempt = frozenset(exempt_faces)
     fs = trace_faces(emb)
     ne = emb.num_edges
     fixed = fixed or PartialColoring.empty(ne)
     if len(fixed) != ne:
         raise ValueError("fixed coloring has wrong edge count")
 
-    edge_order, faces_of_edge = _edge_order(emb, exempt)
+    edge_order, faces_of_edge = _edge_order(emb)
     face_edges = {f: tuple(fs.face_edges(f)) for f in range(fs.num_faces)}
     colors: list[int | None] = list(fixed.colors)
 

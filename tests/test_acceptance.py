@@ -247,7 +247,7 @@ def test_criterion_5_pentagon_reachability(capsys):
                 emb.num_edges,
                 {p: pattern.get(p, 0) for p in pos},
             )
-            rep = solve_exact(emb, fixed=fixed, exempt_faces=(disk.outer_face,))
+            rep = solve_exact(emb, fixed=fixed)
             if not rep.found:
                 continue  # this adjacent signature is not achievable here
             used += 1
@@ -319,7 +319,7 @@ def _find_disk_with_pentagon_sig(bank, sig):
             {p: (1 if i + 1 == j else 2 if i + 1 == k else 0)
              for i, p in enumerate(pos)},
         )
-        rep = solve_exact(emb, fixed=fixed, exempt_faces=(disk.outer_face,))
+        rep = solve_exact(emb, fixed=fixed)
         if rep.found:
             return disk, pos, rep.coloring.as_partial()
     return None
@@ -332,7 +332,7 @@ def _find_disk_with_hexagon_class(bank, legal_tuples, name):
         pos = tuple(d >> 1 for d in disk.boundary_darts)
         for t in members:
             fixed = PartialColoring.from_dict(emb.num_edges, dict(zip(pos, t)))
-            rep = solve_exact(emb, fixed=fixed, exempt_faces=(disk.outer_face,))
+            rep = solve_exact(emb, fixed=fixed)
             if rep.found:
                 return disk, pos, rep.coloring.as_partial()
     return None

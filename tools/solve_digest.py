@@ -2,11 +2,13 @@
 
 For the checkout this file lives in, prints one line per input set: the
 set's name, its input count, a SHA-256 over every input's status, method,
-trace, ``stats.nodes`` and coloring, and after ``outcomes=`` a second
-SHA-256 over the same fields without ``stats.nodes``.  Two checkouts that
-print the same lines solve those inputs identically; two that differ only
-in the first hash reach the same outcomes with other node counts.  Wall
-times are left out.
+trace, ``stats.nodes`` and coloring, after ``outcomes=`` a second SHA-256
+over the same fields without ``stats.nodes``, and after ``routes=`` a third
+over status, method and trace only.  Two checkouts that print the same
+lines solve those inputs identically; two that differ only in the first
+hash reach the same outcomes with other node counts; two that agree only
+on ``routes=`` take the same route through the same stages to other
+colorings.  Wall times are left out.
 
 The input sets are each benchmark workload (built by ``bench/workloads.py``)
 at every seed given, then the toroidal, planar and five-chromatic instances
@@ -56,9 +58,12 @@ def digest(outcomes) -> str:
 
 
 def summary(name: str, outcomes: list) -> str:
-    """The set's line: both hashes, the second with ``stats.nodes`` left out."""
+    """The set's line: all three hashes, the second with ``stats.nodes``
+    left out, the third with the coloring left out as well."""
     no_nodes = [fields[:3] + fields[4:] for fields in outcomes]
-    return f"{name} ({len(outcomes)} inputs): {digest(outcomes)} outcomes={digest(no_nodes)}"
+    routes = [fields[:3] for fields in outcomes]
+    return (f"{name} ({len(outcomes)} inputs): {digest(outcomes)} "
+            f"outcomes={digest(no_nodes)} routes={digest(routes)}")
 
 
 def main(argv=None) -> int:
