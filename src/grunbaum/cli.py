@@ -9,11 +9,12 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import catalog as cat
 from .coloring import kempe_change, verify_grunbaum, verify_partial
 from .embedding import genus, is_triangulation, trace_faces
-from .errors import ChromaticUnknown, GrunbaumError
+from .errors import BudgetExceeded, ChromaticUnknown, GrunbaumError
 from .fileio import (
     FormatError,
     read_coloring,
@@ -22,7 +23,7 @@ from .fileio import (
     write_embedding,
 )
 from .pipeline import solve
-from .solver import Budget, solve_exact
+from .solver import FOUND, UNKNOWN, UNSAT, Budget, SolveReport, color_faces
 from .chroma import chromatic_number
 
 
@@ -56,14 +57,25 @@ def cmd_faces(args) -> int:
     return 0
 
 
+def _exact_search(emb, pins, budget: Budget) -> SolveReport:
+    """Exhaustive search alone, holding the pinned edges (edge -> color)."""
+    started = time.perf_counter()
+    try:
+        coloring = color_faces(emb, budget, pins)
+        report = SolveReport(UNSAT if coloring is None else FOUND, coloring, "EXACT")
+    except BudgetExceeded as exc:
+        report = SolveReport(UNKNOWN, method="EXACT", trace=(f"exact search: {exc}",))
+    report.nodes, report.millis = budget.used_nodes, 1000 * (time.perf_counter() - started)
+    return report
+
+
 def cmd_solve(args) -> int:
     emb = read_embedding(args.file)
     budget = _budget(args)
-    fixed = None
-    if args.fixed:
-        fixed = read_coloring(args.fixed, emb, partial=True)
-    if args.method == "exact" or fixed is not None:
-        report = solve_exact(emb, fixed=fixed, budget=budget)
+    if args.method == "exact" or args.fixed:
+        fixed = read_coloring(args.fixed, emb, partial=True).colors if args.fixed else ()
+        pins = {e: c for e, c in enumerate(fixed) if c is not None}
+        report = _exact_search(emb, pins, budget)
     else:
         report = solve(emb, budget=budget)
     if report.found:

@@ -58,17 +58,8 @@ def _try_anchor(
                 return None
             if not processed[a]:
                 queue.append((a, v))
-    if -1 in vmap:
-        return None
-    # confirm every rotation maps exactly (guards disconnected corner cases)
-    for v in range(e1.num_vertices):
-        r1 = [vmap[w] for w in e1.rotation(v)]
-        r2 = list(e2.rotation(vmap[v]))
-        if reverse:
-            r2.reverse()
-        k = len(r2)
-        if len(r1) != k or not any(r1 == r2[i:] + r2[:i] for i in range(k)):
-            return None
+    # the embedding is connected, so every vertex was processed, and each
+    # processed rotation maps onto its image's up to a cyclic shift
     return vmap
 
 

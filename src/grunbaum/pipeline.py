@@ -54,9 +54,10 @@ from .solver import (
     UNSAT,
     Budget,
     SolveReport,
+    color_faces,
+    color_pinned,
     color_vertices_k,
     four_color_vertices,
-    solve_exact,
 )
 
 # -- grid coloring -----------------------------------------------------------------
@@ -159,17 +160,6 @@ def _verified_report(
                        nodes=budget.used_nodes)
 
 
-def _found(report: SolveReport) -> EdgeColoring | None:
-    """A sub-search's coloring, or None when it proved that none exists.
-
-    UNKNOWN (an exhausted budget) goes back up as BudgetExceeded, so that
-    only the entry points turn it into a report.
-    """
-    if report.status == UNKNOWN:
-        raise BudgetExceeded(report.trace[-1])
-    return report.coloring
-
-
 # -- disks ---------------------------------------------------------------------------
 
 
@@ -192,31 +182,21 @@ def _cycle_disk(host: Embedding, cycle: FaceCycle) -> tuple[Disk, tuple[int, ...
     )
 
 
-def _lift_disk(disk: Disk, palette: Sequence[Sequence[int]], budget: Budget | None,
-               seed_clique: Sequence[int] | None = None) -> EdgeColoring | None:
-    """A disk coloring lifted from a vertex 4-coloring, or None if there is none.
-
-    A disk is simply connected, so its colorings are exactly the lifts
-    ``c(u) ^ c(v)``.  Palette vertices n, n+1, ... join the disk's graph,
-    ``palette[i]`` the neighbours of n+i, to steer c; the lift leaves them out.
-    """
-    emb = disk.embedding
-    n = emb.num_vertices
-    adj = emb.adjacency() + [set(nbrs) for nbrs in palette]
-    for i, nbrs in enumerate(palette):
-        for w in nbrs:
-            adj[w].add(n + i)
-    vc = color_vertices_k(adj, 4, budget, seed_clique)
-    return None if vc is None else tait_lift(emb, vc[:n])
-
-
 def apex_solve(disk: Disk, budget: Budget | None = None) -> PartialColoring:
     """Color a disk as the sphere an apex over its boundary closes it into
-    (``cap_with_apex``'s graph), with the boundary parity that sphere forces."""
-    coloring = _lift_disk(disk, [disk.boundary_vertices()], budget)
-    if coloring is None:
+    (``cap_with_apex``'s graph, the apex at id n), with the boundary parity
+    that sphere forces: a disk is simply connected, so its colorings are
+    exactly the lifts ``c(u) ^ c(v)`` of vertex 4-colorings c."""
+    emb = disk.embedding
+    n = emb.num_vertices
+    boundary = disk.boundary_vertices()
+    adj = emb.adjacency() + [set(boundary)]
+    for v in boundary:
+        adj[v].add(n)
+    vc = color_vertices_k(adj, 4, budget)
+    if vc is None:
         raise NoTableEntry("capped disk is not 4-colorable")
-    return coloring.as_partial()
+    return tait_lift(emb, vc[:n]).as_partial()
 
 
 # one pinned boundary per square signature: a signature fixes the exact
@@ -241,7 +221,7 @@ def solve_disk(
 
     The pins give the boundary labels, from 0 on, by label changes of pin + 1.
     A walk that does not close is the parity lemma and spends no node;
-    otherwise a palette K4 holds each boundary vertex to its label.
+    otherwise each boundary vertex is pinned to its label, and lifted.
     """
     pins = dict(zip(positions, colors))
     if pins.keys() != set(disk.boundary_edges):
@@ -251,11 +231,9 @@ def solve_disk(
         labels.append(labels[-1] ^ (pins[e] + 1))
     if labels.pop():
         return None
-    n = disk.embedding.num_vertices
-    palette = [[n + j for j in range(4) if j != i]
-               + [v for v, c in zip(disk.boundary_vertices(), labels) if c != i]
-               for i in range(4)]
-    return _lift_disk(disk, palette, budget, seed_clique=range(n, n + 4))
+    emb = disk.embedding
+    vc = color_pinned(emb.adjacency(), 4, dict(zip(disk.boundary_vertices(), labels)), budget)
+    return None if vc is None else tait_lift(emb, vc)
 
 
 def achievable_square_kinds(
@@ -738,11 +716,8 @@ def _route_k6_hex(host, frame, budget, trace, method) -> SolveReport:
     trace.append(f"table entry {entry.figure_id}")
     # the hexagonal embedding realizes every exact coloring of each direct
     # class, so pin the disk's colors on the frame and re-solve it
-    pinned = PartialColoring.from_dict(
-        frame.cat_emb.num_edges,
-        {ce: coloring[pe] for ce, pe in zip(hex_cat.edges, pos)},
-    )
-    frame_coloring = _found(solve_exact(frame.cat_emb, fixed=pinned, budget=budget))
+    pins = {ce: coloring[pe] for ce, pe in zip(hex_cat.edges, pos)}
+    frame_coloring = color_faces(frame.cat_emb, budget, pins)
     if frame_coloring is None:
         raise NoTableEntry(f"frame cannot match hexagon class {cls.name}")
     out = _place(host, frame.cat_emb, frame.vmap, frame_coloring, {})
@@ -871,7 +846,7 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
         # five-chromatic territory: search, and say so
         trace.append("no critical subgraph: five-chromatic, exhaustive search")
         stage = "exact search"
-        coloring = _found(solve_exact(emb, budget=budget))
+        coloring = color_faces(emb, budget)
     except BudgetExceeded as exc:
         return SolveReport(UNKNOWN, method=stage, trace=(*trace, f"{stage}: {exc}"),
                            nodes=budget.used_nodes)

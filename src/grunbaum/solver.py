@@ -1,9 +1,11 @@
-"""Search engines: exact edge-coloring backtracking and vertex coloring.
+"""Search engines: DSATUR vertex coloring, and exact edge-coloring backtracking.
 
-The backtracker in :func:`solve_exact` doubles as the brute-force oracle for
-everything else in the package, so it stays deliberately simple: static edge
-order (faces in breadth-first order over the dual from face 0, edge ids
-inside a face), forced-move propagation on triangles, node/time budgets.
+:func:`color_vertices_k` is the package's one search: it colors vertices,
+and through the triangle graph (:func:`color_faces`) edges.  The backtracker
+in :func:`solve_exact` is the brute-force oracle the tests and tools check
+everything else against, so it stays deliberately simple: static edge order
+(faces in breadth-first order over the dual from face 0, edge ids inside a
+face), forced-move propagation on triangles, node/time budgets.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .coloring import COLORS, EdgeColoring, PartialColoring
 from .embedding import Embedding, dual_graph, trace_faces
@@ -364,3 +366,42 @@ def four_color_vertices(
     """Proper coloring with at most four colors, or None when the chromatic
     number exceeds four (always succeeds on planar graphs)."""
     return color_vertices_k(adj, 4, budget=budget)
+
+
+def color_pinned(adj: Sequence[set[int]], k: int, pins: Mapping[int, int],
+                 budget: Budget | None = None) -> list[int] | None:
+    """Proper k-coloring in which each vertex v of ``pins`` has color
+    ``pins[v]``, or None if there is none.
+
+    A palette K_k at ids n, n+1, ... is the seed clique, so n+i takes color
+    i; each pinned vertex is joined to the palette colors it must not take.
+    """
+    n = len(adj)
+    adj = [set(a) for a in adj] + [{n + j for j in range(k) if j != i} for i in range(k)]
+    for v, c in pins.items():
+        for j in range(k):
+            if j != c:
+                adj[v].add(n + j)
+                adj[n + j].add(v)
+    colors = color_vertices_k(adj, k, budget, seed_clique=range(n, n + k))
+    return None if colors is None else colors[:n]
+
+
+def color_faces(emb: Embedding, budget: Budget | None = None,
+                pins: Mapping[int, int] | None = None) -> EdgeColoring | None:
+    """Edge coloring in which every triangular face sees three colors and
+    each edge e of ``pins`` has color ``pins[e]``, or None if there is none.
+
+    Such a coloring is a proper 3-coloring of the triangle graph: one vertex
+    per edge, two joined when their edges bound a common triangular face
+    (only triangles constrain, as in :func:`solve_exact`).  The search is
+    exhaustive; an exhausted budget raises BudgetExceeded.
+    """
+    adj: list[set[int]] = [set() for _ in range(emb.num_edges)]
+    for face in trace_faces(emb).faces:
+        if len(face) == 3:
+            edges = {d >> 1 for d in face}
+            for e in edges:
+                adj[e] |= edges - {e}
+    colors = color_pinned(adj, 3, pins, budget) if pins else color_vertices_k(adj, 3, budget)
+    return None if colors is None else EdgeColoring(tuple(colors))

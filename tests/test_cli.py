@@ -111,11 +111,24 @@ def test_verify_bad_coloring_exits_1(tmp_path):
 
 
 def test_solve_exact_method(tmp_path, capsys):
-    emb_path = tmp_path / "oct.emb"
+    # the K6 embedding is not a triangulation: only its triangles constrain
+    for emb in (gen_named("octahedron"), gen_k6("444A")):
+        emb_path = tmp_path / "in.emb"
+        write_embedding(emb, emb_path)
+        assert main(["--json", "solve", str(emb_path), "--method", "exact"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "FOUND" and doc["method"] == "EXACT"
+
+
+def test_solve_fixed_keeps_the_pins(tmp_path, capsys):
+    emb_path, pins_path, out = tmp_path / "oct.emb", tmp_path / "pins.gcol", tmp_path / "out.gcol"
     write_embedding(gen_named("octahedron"), emb_path)
-    assert main(["--json", "solve", str(emb_path), "--method", "exact"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["status"] == "FOUND" and doc["method"] == "EXACT"
+    pins_path.write_text("0 1 2\n0 2 1\n")
+    assert main(["solve", str(emb_path), "--fixed", str(pins_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("FOUND method: EXACT")
+    lines = out.read_text().splitlines()
+    assert "0 1 2" in lines and "0 2 1" in lines
+    assert main(["verify", str(emb_path), str(out)]) == 0
 
 
 def test_gen_refine_and_chromatic(tmp_path, capsys):
@@ -209,7 +222,7 @@ def test_seed_either_side_of_gen_refine(capsys, tmp_path):
 
 
 def test_budget_before_subcommand_reaches_search(capsys, tmp_path, monkeypatch):
-    # exact search needs 7 nodes on the octahedron
+    # exact search needs 10 nodes on the octahedron
     emb_path = tmp_path / "oct.emb"
     write_embedding(gen_named("octahedron"), emb_path)
     solve_exact = ["solve", str(emb_path), "--method", "exact"]

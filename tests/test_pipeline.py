@@ -573,14 +573,13 @@ def test_failed_extension_is_not_reported_found(monkeypatch):
 
 
 def test_failed_exact_coloring_is_not_reported_found(monkeypatch):
-    real_exact = pipeline.solve_exact
+    real_color_faces = pipeline.color_faces
 
-    def bad_exact(emb, *args, **kwargs):
-        report = real_exact(emb, *args, **kwargs)
-        report.coloring = report.coloring.recolored({0: (report.coloring[0] + 1) % 3})
-        return report
+    def bad_color_faces(emb, *args, **kwargs):
+        coloring = real_color_faces(emb, *args, **kwargs)
+        return coloring.recolored({0: (coloring[0] + 1) % 3})
 
-    monkeypatch.setattr(pipeline, "solve_exact", bad_exact)
+    monkeypatch.setattr(pipeline, "color_faces", bad_color_faces)
     report = solve_torus(ROUTE_HOSTS["EXACT"]())
     assert _unknown_stage(report) == ("exact search", "coloring failed verification")
 

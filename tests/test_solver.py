@@ -4,14 +4,16 @@ from itertools import product
 
 import pytest
 
-from grunbaum.catalog import gen_altshuler, gen_named
-from grunbaum.coloring import EdgeColoring, PartialColoring, verify_grunbaum
+from corpus import five_chromatic_instances, toroidal_corpus
+from grunbaum.catalog import catalog_embedding, enumerate_disks, gen_altshuler, gen_named
+from grunbaum.coloring import EdgeColoring, PartialColoring, verify_grunbaum, verify_partial
 from grunbaum.embedding import build_embedding, trace_faces
 from grunbaum.errors import BudgetExceeded
 from grunbaum.solver import (
     FOUND,
     Budget,
     SolveReport,
+    color_faces,
     color_vertices_k,
     count_grunbaum_colorings,
     four_color_vertices,
@@ -176,3 +178,36 @@ def test_budget_propagates_from_vertex_coloring():
     big = gen_named("icosahedron").adjacency()
     with pytest.raises(BudgetExceeded):
         color_vertices_k(big, 4, budget=Budget(nodes=2))
+
+
+# -- edge coloring through the triangle graph -------------------------------------------
+
+FRAMES = ("c3c5", "h7k2", "k6-444a", "k6-444b", "k6-54", "k6-6", "k7")
+
+
+def _agrees_with_oracle(emb, pins) -> bool:
+    """color_faces finds a coloring exactly when solve_exact does, and what it
+    finds keeps every pin and passes verification; returns whether it found."""
+    oracle = solve_exact(emb, fixed=PartialColoring.from_dict(emb.num_edges, pins))
+    got = color_faces(emb, pins=pins)
+    assert (got is not None) == oracle.found, pins
+    if got is not None:
+        assert all(got[e] == c for e, c in pins.items())
+        assert verify_partial(emb, got.as_partial()).ok
+    return got is not None
+
+
+def test_color_faces_agrees_with_the_edge_oracle():
+    rng = random.Random(12)
+    pinned = [d.embedding for b in range(3, 7) for d in enumerate_disks(b, 2)]
+    pinned += [catalog_embedding(name) for name in FRAMES]
+    pinned += [inst.graph for inst in five_chromatic_instances()]
+    outcomes = []
+    for emb in pinned:
+        outcomes.append(_agrees_with_oracle(emb, {}))
+        for _ in range(10):
+            edges = rng.sample(range(emb.num_edges), rng.randint(1, min(6, emb.num_edges)))
+            outcomes.append(_agrees_with_oracle(emb, {e: rng.randrange(3) for e in edges}))
+    for inst in toroidal_corpus():
+        outcomes.append(_agrees_with_oracle(inst.graph, {}))
+    assert set(outcomes) == {True, False}
