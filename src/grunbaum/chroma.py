@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .catalog import catalog_embedding
 from .errors import BudgetExceeded, ChromaticUnknown, ClassificationAnomaly
-from .solver import Budget, _greedy_clique, color_vertices_k
+from .solver import Budget, _greedy_clique, color_vertices_k, peel_order
 
 
 def chromatic_number(adj: Sequence[set[int]], budget: Budget | None = None) -> int:
@@ -163,25 +163,17 @@ CRITICAL_PATTERNS = ("K6", "C3+C5", "H7+K2", "C11^3")
 def five_core(adj: Sequence[set[int]]) -> list[set[int]]:
     """The 5-core of a graph, on the same vertex ids.
 
-    Vertices of degree below 5 are peeled until none is left; a peeled
-    vertex keeps its id and gets an empty neighbour set.  Every pattern of
-    the dispatch has minimum degree at least 5, so each of its embeddings
-    lies in the 5-core.  find_subgraph tries host vertices in id order, so
+    Vertices of degree below 5 are peeled until none is left
+    (:func:`solver.peel_order`); a peeled vertex keeps its id and gets an
+    empty neighbour set.  Every pattern of the dispatch has minimum degree
+    at least 5, so each of its embeddings lies in the 5-core.  find_subgraph tries host vertices in id order, so
     its first match on the core, mapping included, is its first match on
     the whole graph.  Its count filter counts only vertices of at least the
     pattern's minimum degree, so the peeled (now isolated) vertices do not
     let a pattern be searched on a core too small to hold it.
     """
-    core = [set(a) for a in adj]
-    peel = [v for v, a in enumerate(core) if len(a) < 5]
-    while peel:
-        v = peel.pop()
-        for w in core[v]:
-            core[w].discard(v)
-            if len(core[w]) == 4:
-                peel.append(w)
-        core[v].clear()
-    return core
+    peeled = set(peel_order(adj, 5))
+    return [set() if v in peeled else a - peeled for v, a in enumerate(adj)]
 
 
 def dispatch_match(

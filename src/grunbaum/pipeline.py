@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import wraps
+from functools import cache, wraps
 from typing import Sequence
 
 from . import catalog as cat
@@ -384,6 +384,17 @@ def _face_signature(emb: Embedding) -> tuple:
     return fs.census(), sorted(sorted(c) for c in corners)
 
 
+def _frame_embedding(name: str) -> Embedding:
+    grid = _GRID_FRAMES.get(name)
+    return grid.embedding if grid else cat.catalog_embedding(name)
+
+
+@cache
+def _frame_signature(name: str) -> tuple:
+    """A frame's face signature, computed on its first match, not on import."""
+    return _face_signature(_frame_embedding(name))
+
+
 def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
     """Align a frame of the pattern with a matched subgraph of the host.
 
@@ -398,10 +409,9 @@ def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
     sub = _restrict_rotations(host, mapping)
     signature = _face_signature(sub)
     for name in _PATTERN_FRAMES[pattern]:
-        grid = _GRID_FRAMES.get(name)
-        cat_emb = grid.embedding if grid else cat.catalog_embedding(name)
-        if _face_signature(cat_emb) != signature:
+        if _frame_signature(name) != signature:
             continue
+        cat_emb = _frame_embedding(name)
         for vmap_cs in embedding_isomorphisms(cat_emb, sub):
             return Frame(name, cat_emb, tuple(mapping[w] for w in vmap_cs))
     raise NoTableEntry(

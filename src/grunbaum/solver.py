@@ -1,11 +1,18 @@
 """Search engines: DSATUR vertex coloring, and exact edge-coloring backtracking.
 
 :func:`color_vertices_k` is the package's one search: it colors vertices,
-and through the triangle graph (:func:`color_faces`) edges.  The backtracker
-in :func:`solve_exact` is the brute-force oracle the tests and tools check
-everything else against, so it stays deliberately simple: static edge order
-(faces in breadth-first order over the dual from face 0, edge ids inside a
-face), forced-move propagation on triangles, node/time budgets.
+and through the triangle graph (:func:`color_faces`) edges.  It searches
+only the graph's k-core: the vertices outside it (:func:`peel_order`) always
+find a free color once the core is colored, in reverse peel order, so the
+search stays exhaustive while its cost follows the core, not the graph; on
+a stellated sphere that core is the base.  Its node count is one tick per
+search node plus one per peeled vertex.
+
+The backtracker in :func:`solve_exact` is the brute-force oracle the tests
+and tools check everything else against, so it stays deliberately simple:
+static edge order (faces in breadth-first order over the dual from face 0,
+edge ids inside a face), forced-move propagation on triangles, node/time
+budgets.
 """
 from __future__ import annotations
 
@@ -13,8 +20,8 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from typing import Iterator, Mapping, Sequence
+from heapq import heapify, heappop, heappush, nlargest
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import COLORS, EdgeColoring, PartialColoring
 from .embedding import Embedding, dual_graph, trace_faces
@@ -248,11 +255,9 @@ def count_grunbaum_colorings(emb: Embedding, budget: Budget | None = None) -> in
 
 def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
     """Greedy clique seeded at the highest-degree vertex; lower bound only."""
-    if not adj:
-        return []
-    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    deg = [len(a) for a in adj]
     best: list[int] = []
-    for start in order[: min(8, len(order))]:
+    for start in nlargest(8, range(len(adj)), key=deg.__getitem__):  # ties to lower ids
         clique = [start]
         cands = set(adj[start])
         while cands:
@@ -262,6 +267,35 @@ def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
         if len(clique) > len(best):
             best = clique
     return best
+
+
+def peel_order(adj: Sequence[set[int]], k: int, keep: Iterable[int] = ()) -> list[int]:
+    """The vertices outside the k-core, in the order they are peeled.
+
+    Vertices with fewer than k neighbours left go, except those of ``keep``,
+    until none is left; what stays is the k-core, with ``keep`` held in it.
+    Each peeled vertex has fewer than k neighbours among the vertices peeled
+    after it and those that stay, so coloring those first always leaves it a
+    free color: in reverse peel order, any k-coloring of the core extends to
+    the whole graph (Matula & Beck 1983).  One pass over degree counters.
+    """
+    deg = [len(a) for a in adj]
+    out = bytearray(len(adj))  # 1 once peeled, queued or kept
+    for v in keep:
+        out[v] = 1
+    stack = [v for v, d in enumerate(deg) if d < k and not out[v]]
+    for v in stack:
+        out[v] = 1
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            deg[w] -= 1
+            if deg[w] < k and not out[w]:
+                out[w] = 1
+                stack.append(w)
+    return order
 
 
 def color_vertices_k(
@@ -276,23 +310,40 @@ def color_vertices_k(
     budget; BudgetExceeded propagates).  A clique is pre-colored 0, 1, ... to
     cut color symmetry: ``seed_clique`` if given, else a greedy one.
 
-    Each search node takes the uncolored vertex with the most distinct colors
-    among its neighbors (saturation), ties to the higher degree, then the
-    lower id, and tries the colors no neighbor uses in increasing order, up
-    to one above the highest color in use; every node ticks the budget once.
-    The search is iterative, over an explicit stack of (vertex, next color)
-    frames, so no input size meets the recursion limit.  A node costs
-    O(deg log V): per-vertex counts of neighbor colors keep saturation
-    current as vertices are colored and uncolored, and a heap with lazy
-    deletion yields the next vertex.
+    The search runs on the k-core only.  First every vertex outside it is
+    peeled (:func:`peel_order`), except the seed clique's, whose colors are
+    fixed.  A greedy clique is taken on the whole graph and keeps its core
+    vertices: one taken on the core alone made the refutations of stellated
+    five-chromatic grids longer.  Once the core is colored, each peeled
+    vertex, in reverse peel order, takes the least color its neighbours do
+    not use; it has fewer than k colored neighbours, so one is free.  Hence,
+    with the seeds fixed, the graph is k-colorable exactly when its core is,
+    and None is still a proof.  A stellated triangulation peels back to its
+    base.
+
+    Each search node takes the uncolored core vertex with the most distinct
+    colors among its neighbors (saturation), ties to the higher degree, then
+    the lower id, and tries the colors no neighbor uses in increasing order,
+    up to one above the highest color in use.  The budget ticks once per
+    search node and once per peeled vertex.  The search is iterative, over
+    an explicit stack of (vertex, next color) frames, so no input size meets
+    the recursion limit.  A node costs O(deg log V): per-vertex counts of
+    neighbor colors keep saturation current as vertices are colored and
+    uncolored, and a heap with lazy deletion yields the next vertex.
     """
     n = len(adj)
     budget = budget or Budget()
     clique = list(seed_clique) if seed_clique is not None else _greedy_clique(adj)
     if len(clique) > k:
         return None
+    peeled = peel_order(adj, k, clique if seed_clique is not None else ())
 
+    # a peeled vertex holds color k, no color at all, until the core is
+    # colored: it never enters the heap and blocks no color
     colors = [-1] * n
+    for v in peeled:
+        colors[v] = k
+    clique = [v for v in clique if colors[v] < 0]
     seen = [[0] * k for _ in range(n)]  # seen[w][c]: neighbors of w colored c
     sat = [0] * n
     negdeg = [-len(a) for a in adj]
@@ -336,7 +387,7 @@ def color_vertices_k(
         while heap and (colors[heap[0][2]] >= 0 or -heap[0][0] != sat[heap[0][2]]):
             heappop(heap)
         if not heap:
-            return colors
+            break
         v = heap[0][2]
         if sat[v] < k:
             stack.append([v, 0, min(k, highest + 2), highest])
@@ -358,6 +409,15 @@ def color_vertices_k(
             highest = below
         else:
             return None
+
+    for v in reversed(peeled):
+        budget.tick()
+        used = {colors[w] for w in adj[v]}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
 
 
 def four_color_vertices(

@@ -239,18 +239,18 @@ def test_budget_before_subcommand_reaches_search(capsys, tmp_path, monkeypatch):
 
 
 def test_budget_exhausted_inside_a_route_is_unknown(capsys, tmp_path):
-    # a 22-vertex host on the K7 route: 30 nodes solve it; with fewer the
+    # a 22-vertex host on the K7 route: 62 nodes solve it; with fewer the
     # budget runs out in the subgraph search or in the route's disk solves
     host = random_refinement(triangulate_faces(catalog_embedding("k6-6")), 15, seed=3)
     path = tmp_path / "k7host.emb"
     write_embedding(host, path)
-    for budget, stage in ((6, "subgraph search"), (10, "K7"), (29, "K7")):
+    for budget, stage in ((6, "subgraph search"), (10, "K7"), (61, "K7")):
         assert main(["--json", "--budget", str(budget), "solve", str(path)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "UNKNOWN" and doc["method"] == stage
         assert doc["trace"][-1].startswith(f"{stage}: ")
         assert doc["trace"][-1].endswith(f"node budget {budget} exhausted")
-    assert main(["--json", "--budget", "30", "solve", str(path)]) == 0
+    assert main(["--json", "--budget", "62", "solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "FOUND"
 
 

@@ -412,7 +412,7 @@ def test_any_budget_ends_found_or_unknown(name):
         else:
             lo = mid
     budgets = {1, 2, total - 1, total, hi, (hi + total) // 2,
-               *range(1, total, total // 16)}
+               *range(1, total, max(1, total // 16))}
     stages = {nodes: outcome(nodes) for nodes in sorted(budgets)}
     # stages only move forward: every budget from the route's first node on
     # runs out inside the route, e.g. in its disk solves

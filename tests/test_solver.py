@@ -5,7 +5,13 @@ from itertools import product
 import pytest
 
 from corpus import five_chromatic_instances, toroidal_corpus
-from grunbaum.catalog import catalog_embedding, enumerate_disks, gen_altshuler, gen_named
+from grunbaum.catalog import (
+    catalog_embedding,
+    enumerate_disks,
+    gen_altshuler,
+    gen_named,
+    random_refinement,
+)
 from grunbaum.coloring import EdgeColoring, PartialColoring, verify_grunbaum, verify_partial
 from grunbaum.embedding import build_embedding, trace_faces
 from grunbaum.errors import BudgetExceeded
@@ -14,9 +20,11 @@ from grunbaum.solver import (
     Budget,
     SolveReport,
     color_faces,
+    color_pinned,
     color_vertices_k,
     count_grunbaum_colorings,
     four_color_vertices,
+    peel_order,
     solve_exact,
 )
 
@@ -114,8 +122,40 @@ def random_graph(rng, n):
     return adj
 
 
-def random_maximal_clique(rng, adj):
-    clique = [rng.randrange(len(adj))]
+def random_graph_with_low_degrees(rng, n, k):
+    """A random part of 4-7 vertices, then vertices joined to 1..k-1 earlier
+    ones, so that many have degree below k and peeling them cascades."""
+    m = rng.randint(4, 7)
+    adj = random_graph(rng, m) + [set() for _ in range(n - m)]
+    for v in range(m, n):
+        for w in rng.sample(range(v), rng.randint(1, max(1, k - 1))):
+            adj[v].add(w)
+            adj[w].add(v)
+    return adj
+
+
+def brute_force_colorable(adj, k, pins=()):
+    """Whether a proper k-coloring with colors[v] == pins[v] exists, by plain
+    backtracking over the vertices in id order."""
+    pins = dict(pins)
+    colors = [-1] * len(adj)
+
+    def extend(v):
+        if v == len(adj):
+            return True
+        for c in [pins[v]] if v in pins else range(k):
+            if all(colors[w] != c for w in adj[v]):
+                colors[v] = c
+                if extend(v + 1):
+                    return True
+        colors[v] = -1
+        return False
+
+    return extend(0)
+
+
+def random_maximal_clique(rng, adj, start=None):
+    clique = [rng.randrange(len(adj)) if start is None else start]
     cands = set(adj[clique[0]])
     while cands:
         v = rng.choice(sorted(cands))
@@ -166,6 +206,62 @@ def test_k_coloring_exhaustive_negative():
                 else:
                     assert colors is not None, (adj, k, seed_clique)
                     assert_proper(adj, colors, k)
+
+    # larger graphs in which many vertices fall outside the k-core, seeded
+    # also with a clique through a vertex of degree below k, which is never
+    # peeled: each seed vertex keeps its color
+    for _ in range(60):
+        n = rng.randint(9, 12)
+        for k in range(2, 6):
+            adj = random_graph_with_low_degrees(rng, n, k)
+            low = rng.choice([v for v in range(n) if len(adj[v]) < k])
+            colorable = brute_force_colorable(adj, k)
+            for seed_clique in (None, [], random_maximal_clique(rng, adj),
+                                random_maximal_clique(rng, adj, low)):
+                colors = color_vertices_k(adj, k, seed_clique=seed_clique)
+                assert (colors is not None) == colorable, (adj, k, seed_clique)
+                if colors is not None:
+                    assert_proper(adj, colors, k)
+                    assert all(colors[v] == i for i, v in enumerate(seed_clique or ()))
+
+
+def test_pinned_coloring_agrees_with_brute_force():
+    # one or a few pins leave palette colors that no vertex is joined to:
+    # palette vertices of degree k - 1, below k, that must stay unpeeled
+    rng = random.Random(16)
+    found = 0
+    for _ in range(80):
+        n = rng.randint(9, 12)
+        k = rng.randint(3, 5)
+        adj = random_graph_with_low_degrees(rng, n, k)
+        pins = {v: rng.randrange(k) for v in rng.sample(range(n), rng.randint(1, 4))}
+        colors = color_pinned(adj, k, pins)
+        assert (colors is not None) == brute_force_colorable(adj, k, pins), (adj, k, pins)
+        if colors is not None:
+            found += 1
+            assert_proper(adj, colors, k)
+            assert all(colors[v] == c for v, c in pins.items())
+    assert 0 < found < 80
+
+
+def test_refined_sphere_searches_only_its_base():
+    # a stellation peels back to the icosahedron, which has minimum degree
+    # 5: one node per base vertex at most, then one tick per peeled vertex
+    adj = random_refinement(gen_named("icosahedron"), 1988, seed=16).adjacency()
+    assert len(adj) == 2000
+    assert set(range(2000)) - set(peel_order(adj, 4)) == set(range(12))
+    budget = Budget()
+    assert_proper(adj, four_color_vertices(adj, budget), 4)
+    assert budget.used_nodes <= len(adj) + 1
+
+
+def test_stellated_five_chromatic_grid_is_refuted_on_its_core():
+    base = gen_altshuler(3, 3, 1).embedding
+    refined = random_refinement(base, 40, seed=16)
+    for emb in (base, refined):
+        adj = emb.adjacency()
+        assert four_color_vertices(adj) is None
+        assert_proper(adj, color_vertices_k(adj, 5), 5)
 
 
 def test_four_coloring_has_no_recursion_limit():
