@@ -246,6 +246,8 @@ def trace_faces(emb: Embedding) -> FaceSet:
 
 def genus(emb: Embedding) -> int:
     """Genus from Euler's formula V - E + F = 2 - 2g."""
+    if not emb.num_vertices:
+        raise ValueError("an embedding with no vertices has no genus")
     f = trace_faces(emb).num_faces
     euler = emb.num_vertices - emb.num_edges + f
     g2 = 2 - euler

@@ -55,7 +55,6 @@ from .solver import (
     Budget,
     SolveReport,
     color_faces,
-    color_pinned,
     color_vertices_k,
     four_color_vertices,
 )
@@ -232,7 +231,8 @@ def solve_disk(
     if labels.pop():
         return None
     emb = disk.embedding
-    vc = color_pinned(emb.adjacency(), 4, dict(zip(disk.boundary_vertices(), labels)), budget)
+    vc = color_vertices_k(emb.adjacency(), 4, budget,
+                          dict(zip(disk.boundary_vertices(), labels)))
     return None if vc is None else tait_lift(emb, vc)
 
 
@@ -247,15 +247,17 @@ def achievable_square_kinds(
     )
 
 
+# square coloring type -> the signature kinds a square of that type shows
+SQUARE_TYPES = {1: frozenset({"A", "B1"}), 2: frozenset({"A", "B2"}),
+                3: frozenset({"C", "B1", "B2"})}
+
+
 def square_disk_type(kinds: frozenset[str]) -> int:
-    """Coloring type of a triangulated square: 1 = A and B1, 2 = A and B2,
-    3 = C and B1 and B2.  Every triangulated square has one."""
-    if {"A", "B1"} <= kinds:
-        return 1
-    if {"A", "B2"} <= kinds:
-        return 2
-    if {"C", "B1", "B2"} <= kinds:
-        return 3
+    """Coloring type of a triangulated square: the first of ``SQUARE_TYPES``
+    whose kinds it achieves.  Every triangulated square has one."""
+    for t, type_kinds in SQUARE_TYPES.items():
+        if type_kinds <= kinds:
+            return t
     raise NoTableEntry(f"square disk achieves {sorted(kinds)}, which has no type")
 
 
@@ -472,7 +474,7 @@ def _pin_disk(host, disk, positions, cycle, out, budget):
     cycle, and place it."""
     solved = solve_disk(disk, positions, [out[e] for e in cycle.edges], budget)
     if solved is None:
-        raise NoTableEntry("square disk cannot match the table entry")
+        raise NoTableEntry("disk cannot take its boundary colors")
     _place(host, disk.embedding, disk.to_host, solved, out)
 
 
@@ -484,19 +486,15 @@ def extend_over_face(
 ):
     """Fill the triangulated region behind a tricolored triangle of the frame.
 
-    The region is cut out, colored as the sphere an apex closes it into,
-    recolored to agree on the three boundary edges, and transplanted.  A
-    triangle that is a face of the host has nothing behind it.
+    The region is cut out, solved with its three boundary edges pinned to
+    their colors (:func:`solve_disk`), and transplanted.  A triangle that is
+    a face of the host has nothing behind it.
     """
     face_of = trace_faces(host).face_of
     if len({face_of[d] for d in face_cycle.darts}) == 1:
         return
     disk, positions = _cycle_disk(host, face_cycle)
-    if disk.interior_vertex_count() == 0:
-        return
-    solved = apex_solve(disk, budget=budget)
-    recolored = _recolor_to(solved, positions, [out[e] for e in face_cycle.edges])
-    _place(host, disk.embedding, disk.to_host, recolored, out)
+    _pin_disk(host, disk, positions, face_cycle, out, budget)
 
 
 def _extend_over_triangles(host, sub, vmap, out, budget):
@@ -589,13 +587,12 @@ def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
         # rotate the shipped coloring with the square-cycling symmetry until
         # its signatures line up with what each disk can actually achieve
         rho = labeling["rho"]
-        allowed = {1: {"A", "B1"}, 2: {"A", "B2"}, 3: {"C", "B1", "B2"}}
         for _ in range(3):
             sigs = [
                 classify_square([coloring[e] for e in cyc.edges]).kind
                 for cyc in squares
             ]
-            if all(s in allowed[t] for s, t in zip(sigs, types)):
+            if all(s in SQUARE_TYPES[t] for s, t in zip(sigs, types)):
                 break
             coloring = _permute_vertices(frame.cat_emb, coloring, rho)
         else:

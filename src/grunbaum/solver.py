@@ -5,8 +5,11 @@ and through the triangle graph (:func:`color_faces`) edges.  It searches
 only the graph's k-core: the vertices outside it (:func:`peel_order`) always
 find a free color once the core is colored, in reverse peel order, so the
 search stays exhaustive while its cost follows the core, not the graph; on
-a stellated sphere that core is the base.  Its node count is one tick per
-search node plus one per peeled vertex.
+a stellated sphere that core is the base.  Pins (vertex -> color) fix
+colors before the search, as a disk's boundary labels or ``--fixed`` edges
+do; the colors above the highest pin stay interchangeable, so cutting their
+symmetry keeps the search exhaustive.  Its node count is one tick per
+search node plus one per peeled vertex; a pinned vertex costs none.
 
 The backtracker in :func:`solve_exact` is the brute-force oracle the tests
 and tools check everything else against, so it stays deliberately simple:
@@ -302,48 +305,59 @@ def color_vertices_k(
     adj: Sequence[set[int]],
     k: int,
     budget: Budget | None = None,
-    seed_clique: Sequence[int] | None = None,
+    pins: Mapping[int, int] | None = None,
 ) -> list[int] | None:
     """Proper k-coloring by DSATUR-ordered backtracking, or None if impossible.
 
     Exhaustive: a None return is a proof that no k-coloring exists (within
-    budget; BudgetExceeded propagates).  A clique is pre-colored 0, 1, ... to
-    cut color symmetry: ``seed_clique`` if given, else a greedy one.
+    budget; BudgetExceeded propagates).  Each vertex v of ``pins`` keeps the
+    color ``pins[v]``: pinned vertices are colored before the search, are
+    never peeled and cost no node.  A pin outside 0..k-1, or two adjacent
+    pins of one color, returns None at once.
 
-    The search runs on the k-core only.  First every vertex outside it is
-    peeled (:func:`peel_order`), except the seed clique's, whose colors are
-    fixed.  A greedy clique is taken on the whole graph and keeps its core
-    vertices: one taken on the core alone made the refutations of stellated
-    five-chromatic grids longer.  Once the core is colored, each peeled
-    vertex, in reverse peel order, takes the least color its neighbours do
-    not use; it has fewer than k colored neighbours, so one is free.  Hence,
-    with the seeds fixed, the graph is k-colorable exactly when its core is,
-    and None is still a proof.  A stellated triangulation peels back to its
-    base.
+    The search runs on the k-core only.  First every unpinned vertex outside
+    it is peeled (:func:`peel_order`).  Once the core is colored, each
+    peeled vertex, in reverse peel order, takes the least color its
+    neighbours do not use; it has fewer than k colored neighbours, so one is
+    free.  Hence, with the pins fixed, the graph is k-colorable exactly when
+    its core is, and None is still a proof.  A stellated triangulation peels
+    back to its base.
+
+    Color symmetry is cut by trying no color above one past the highest in
+    use: the colors above it are unused, so interchangeable, and none is
+    lost.  With pins, the bound starts at the highest pinned color.  Without
+    them, a greedy clique taken on the whole graph has its core vertices
+    pre-colored 0, 1, ... (one taken on the core alone made the refutations
+    of stellated five-chromatic grids longer).
 
     Each search node takes the uncolored core vertex with the most distinct
     colors among its neighbors (saturation), ties to the higher degree, then
     the lower id, and tries the colors no neighbor uses in increasing order,
-    up to one above the highest color in use.  The budget ticks once per
-    search node and once per peeled vertex.  The search is iterative, over
-    an explicit stack of (vertex, next color) frames, so no input size meets
-    the recursion limit.  A node costs O(deg log V): per-vertex counts of
-    neighbor colors keep saturation current as vertices are colored and
-    uncolored, and a heap with lazy deletion yields the next vertex.
+    up to the symmetry bound.  The budget ticks once per search node and
+    once per peeled vertex.  The search is iterative, over an explicit stack
+    of (vertex, next color) frames, so no input size meets the recursion
+    limit.  A node costs O(deg log V): per-vertex counts of neighbor colors
+    keep saturation current as vertices are colored and uncolored, and a
+    heap with lazy deletion yields the next vertex.
     """
     n = len(adj)
     budget = budget or Budget()
-    clique = list(seed_clique) if seed_clique is not None else _greedy_clique(adj)
+    pins = pins or {}
+    if any(not 0 <= c < k or any(pins.get(w) == c for w in adj[v])
+           for v, c in pins.items()):
+        return None
+    clique = [] if pins else _greedy_clique(adj)
     if len(clique) > k:
         return None
-    peeled = peel_order(adj, k, clique if seed_clique is not None else ())
+    peeled = peel_order(adj, k, pins)
 
     # a peeled vertex holds color k, no color at all, until the core is
     # colored: it never enters the heap and blocks no color
     colors = [-1] * n
     for v in peeled:
         colors[v] = k
-    clique = [v for v in clique if colors[v] < 0]
+    # without pins, the greedy clique's core vertices are pinned to 0, 1, ...
+    pins = pins or dict(zip((v for v in clique if colors[v] < 0), range(k)))
     seen = [[0] * k for _ in range(n)]  # seen[w][c]: neighbors of w colored c
     sat = [0] * n
     negdeg = [-len(a) for a in adj]
@@ -373,15 +387,15 @@ def color_vertices_k(
         if c < 0:
             heappush(heap, (-sat[v], negdeg[v], v))
 
-    for i, v in enumerate(clique):
-        recolor(v, i)
+    for v, c in pins.items():
+        recolor(v, c)
     heap[:] = [(-sat[v], negdeg[v], v) for v in range(n) if colors[v] < 0]
     heapify(heap)
 
     # frames [vertex, next color to try, color bound, highest color in use
     # before the vertex was colored]
     stack: list[list[int]] = []
-    highest = len(clique) - 1
+    highest = max(pins.values(), default=-1)
     while True:
         budget.tick()
         while heap and (colors[heap[0][2]] >= 0 or -heap[0][0] != sat[heap[0][2]]):
@@ -428,25 +442,6 @@ def four_color_vertices(
     return color_vertices_k(adj, 4, budget=budget)
 
 
-def color_pinned(adj: Sequence[set[int]], k: int, pins: Mapping[int, int],
-                 budget: Budget | None = None) -> list[int] | None:
-    """Proper k-coloring in which each vertex v of ``pins`` has color
-    ``pins[v]``, or None if there is none.
-
-    A palette K_k at ids n, n+1, ... is the seed clique, so n+i takes color
-    i; each pinned vertex is joined to the palette colors it must not take.
-    """
-    n = len(adj)
-    adj = [set(a) for a in adj] + [{n + j for j in range(k) if j != i} for i in range(k)]
-    for v, c in pins.items():
-        for j in range(k):
-            if j != c:
-                adj[v].add(n + j)
-                adj[n + j].add(v)
-    colors = color_vertices_k(adj, k, budget, seed_clique=range(n, n + k))
-    return None if colors is None else colors[:n]
-
-
 def color_faces(emb: Embedding, budget: Budget | None = None,
                 pins: Mapping[int, int] | None = None) -> EdgeColoring | None:
     """Edge coloring in which every triangular face sees three colors and
@@ -463,5 +458,5 @@ def color_faces(emb: Embedding, budget: Budget | None = None,
             edges = {d >> 1 for d in face}
             for e in edges:
                 adj[e] |= edges - {e}
-    colors = color_pinned(adj, 3, pins, budget) if pins else color_vertices_k(adj, 3, budget)
+    colors = color_vertices_k(adj, 3, budget, pins)
     return None if colors is None else EdgeColoring(tuple(colors))

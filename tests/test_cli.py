@@ -43,6 +43,17 @@ def test_faces_malformed_exits_2(tmp_path, capsys):
     assert main(["faces", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", (["faces"], ["--json", "solve"]))
+def test_empty_embedding_is_an_input_error(command, tmp_path, capsys):
+    # V - E + F = 0 with nothing in it is not a torus
+    empty = tmp_path / "empty.emb"
+    empty.write_text("vertices: 0\n")
+    assert main([*command, str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "no vertices" in captured.err
+
+
 def test_solve_grid_writes_verified_coloring(tmp_path, capsys):
     emb_path = tmp_path / "t33.emb"
     main(["gen", "altshuler", "3", "3", "0", "--out", str(emb_path)])
@@ -239,18 +250,18 @@ def test_budget_before_subcommand_reaches_search(capsys, tmp_path, monkeypatch):
 
 
 def test_budget_exhausted_inside_a_route_is_unknown(capsys, tmp_path):
-    # a 22-vertex host on the K7 route: 62 nodes solve it; with fewer the
+    # a 22-vertex host on the K7 route: 30 nodes solve it; with fewer the
     # budget runs out in the subgraph search or in the route's disk solves
     host = random_refinement(triangulate_faces(catalog_embedding("k6-6")), 15, seed=3)
     path = tmp_path / "k7host.emb"
     write_embedding(host, path)
-    for budget, stage in ((6, "subgraph search"), (10, "K7"), (61, "K7")):
+    for budget, stage in ((6, "subgraph search"), (10, "K7"), (29, "K7")):
         assert main(["--json", "--budget", str(budget), "solve", str(path)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "UNKNOWN" and doc["method"] == stage
         assert doc["trace"][-1].startswith(f"{stage}: ")
         assert doc["trace"][-1].endswith(f"node budget {budget} exhausted")
-    assert main(["--json", "--budget", "62", "solve", str(path)]) == 0
+    assert main(["--json", "--budget", "30", "solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "FOUND"
 
 

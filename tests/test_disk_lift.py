@@ -1,7 +1,8 @@
 """Disks colored through the vertex lift agree with the edge backtracker.
 
 ``solve_disk`` (pinned boundaries) and ``apex_solve`` (free boundaries) color
-a disk from a vertex 4-coloring of its graph plus palette vertices;
+a disk from a vertex 4-coloring of its graph, the first with the boundary
+vertices pinned to their labels, the second with an apex over the boundary;
 ``solve_exact`` stays the brute-force oracle they are checked against.
 """
 from itertools import product

@@ -556,15 +556,17 @@ def test_cli_budget_exits_0_found_or_1_unknown(data):
 
 
 def test_failed_extension_is_not_reported_found(monkeypatch):
-    real_apex = pipeline.apex_solve
+    real_solve_disk = pipeline.solve_disk
 
-    def bad_apex(disk, budget=None):
-        coloring = real_apex(disk, budget)
+    def bad_solve_disk(disk, positions, colors, budget=None):
+        coloring = real_solve_disk(disk, positions, colors, budget)
+        if coloring is None:
+            return None
         boundary = set(disk.boundary_edges)
         e = next(e for e in range(disk.embedding.num_edges) if e not in boundary)
         return coloring.recolored({e: (coloring[e] + 1) % 3})
 
-    monkeypatch.setattr(pipeline, "apex_solve", bad_apex)
+    monkeypatch.setattr(pipeline, "solve_disk", bad_solve_disk)
     k7 = gen_named("K7")
     with pytest.raises(VerificationFailed):
         extend_into_faces(k7, solve_exact(k7).coloring, random_refinement(k7, 9, seed=4))

@@ -20,7 +20,6 @@ from grunbaum.solver import (
     Budget,
     SolveReport,
     color_faces,
-    color_pinned,
     color_vertices_k,
     count_grunbaum_colorings,
     four_color_vertices,
@@ -143,7 +142,7 @@ def brute_force_colorable(adj, k, pins=()):
     def extend(v):
         if v == len(adj):
             return True
-        for c in [pins[v]] if v in pins else range(k):
+        for c in [c for c in range(k) if pins.get(v, c) == c]:
             if all(colors[w] != c for w in adj[v]):
                 colors[v] = c
                 if extend(v + 1):
@@ -193,41 +192,56 @@ def test_k_coloring_exhaustive_negative():
     assert color_vertices_k(k6, 6) is not None
 
     # brute-force oracle: None exactly when no proper k-coloring exists,
-    # with the default greedy clique, no clique, and another maximal clique
+    # with the default greedy clique, empty pins, and another maximal clique
+    # pinned to 0, 1, ...
     rng = random.Random(2024)
     for _ in range(60):
         adj = random_graph(rng, rng.randint(1, 8))
         chi = brute_force_chromatic_number(adj)
-        for seed_clique in (None, [], random_maximal_clique(rng, adj)):
+        for pins in (None, {}, clique_pins(random_maximal_clique(rng, adj))):
             for k in range(2, 6):
-                colors = color_vertices_k(adj, k, seed_clique=seed_clique)
+                colors = color_vertices_k(adj, k, pins=pins)
                 if k < chi:
-                    assert colors is None, (adj, k, seed_clique)
+                    assert colors is None, (adj, k, pins)
                 else:
-                    assert colors is not None, (adj, k, seed_clique)
+                    assert colors is not None, (adj, k, pins)
                     assert_proper(adj, colors, k)
 
-    # larger graphs in which many vertices fall outside the k-core, seeded
-    # also with a clique through a vertex of degree below k, which is never
-    # peeled: each seed vertex keeps its color
+    # larger graphs in which many vertices fall outside the k-core, pinned
+    # also along a clique through a vertex of degree below k, which is never
+    # peeled: each pinned vertex keeps its color
     for _ in range(60):
         n = rng.randint(9, 12)
         for k in range(2, 6):
             adj = random_graph_with_low_degrees(rng, n, k)
             low = rng.choice([v for v in range(n) if len(adj[v]) < k])
             colorable = brute_force_colorable(adj, k)
-            for seed_clique in (None, [], random_maximal_clique(rng, adj),
-                                random_maximal_clique(rng, adj, low)):
-                colors = color_vertices_k(adj, k, seed_clique=seed_clique)
-                assert (colors is not None) == colorable, (adj, k, seed_clique)
+            for pins in (None, {}, clique_pins(random_maximal_clique(rng, adj)),
+                         clique_pins(random_maximal_clique(rng, adj, low))):
+                colors = color_vertices_k(adj, k, pins=pins)
+                assert (colors is not None) == colorable, (adj, k, pins)
                 if colors is not None:
                     assert_proper(adj, colors, k)
-                    assert all(colors[v] == i for i, v in enumerate(seed_clique or ()))
+                    assert all(colors[v] == c for v, c in (pins or {}).items())
+
+
+def clique_pins(clique):
+    """Pins that give a clique's vertices colors 0, 1, ... in order."""
+    return {v: i for i, v in enumerate(clique)}
+
+
+def assert_agrees_with_brute_force(adj, k, pins):
+    """color_vertices_k finds a coloring exactly when the oracle does, and
+    what it finds is proper and keeps every pin; returns whether it found."""
+    colors = color_vertices_k(adj, k, pins=pins)
+    assert (colors is not None) == brute_force_colorable(adj, k, pins), (adj, k, pins)
+    if colors is not None:
+        assert_proper(adj, colors, k)
+        assert all(colors[v] == c for v, c in pins.items())
+    return colors is not None
 
 
 def test_pinned_coloring_agrees_with_brute_force():
-    # one or a few pins leave palette colors that no vertex is joined to:
-    # palette vertices of degree k - 1, below k, that must stay unpeeled
     rng = random.Random(16)
     found = 0
     for _ in range(80):
@@ -235,13 +249,61 @@ def test_pinned_coloring_agrees_with_brute_force():
         k = rng.randint(3, 5)
         adj = random_graph_with_low_degrees(rng, n, k)
         pins = {v: rng.randrange(k) for v in rng.sample(range(n), rng.randint(1, 4))}
-        colors = color_pinned(adj, k, pins)
-        assert (colors is not None) == brute_force_colorable(adj, k, pins), (adj, k, pins)
-        if colors is not None:
-            found += 1
-            assert_proper(adj, colors, k)
-            assert all(colors[v] == c for v, c in pins.items())
+        found += assert_agrees_with_brute_force(adj, k, pins)
     assert 0 < found < 80
+
+
+def test_pins_of_high_colors_agree_with_brute_force():
+    # pins of the top colors only: the symmetry bound starts at the highest
+    # pinned color, so the colors below it stay open to every vertex
+    rng = random.Random(17)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(5, 10)
+        k = rng.randint(3, 5)
+        adj = random_graph(rng, n)
+        pinned = rng.sample(range(n), rng.randint(1, 3))
+        found += assert_agrees_with_brute_force(adj, k, dict.fromkeys(pinned, k - 1))
+        found += assert_agrees_with_brute_force(
+            adj, k, {v: rng.choice((k - 2, k - 1)) for v in pinned})
+    assert 0 < found < 600
+
+
+def test_invalid_pins_cost_no_node():
+    # adjacent pins of one color, and pins outside 0..k-1, have no coloring,
+    # and the engine says so before its first node
+    rng = random.Random(18)
+    k4 = [set(range(4)) - {v} for v in range(4)]
+    cases = [(k4, 4, {0: 1, 1: 1}), (k4, 4, {2: 4}), (k4, 4, {3: -1}),
+             (k4, 5, {0: 0, 3: 0})]
+    for _ in range(40):
+        k = rng.randint(2, 5)
+        adj = random_graph_with_low_degrees(rng, rng.randint(5, 10), k)
+        u = rng.choice([v for v in range(len(adj)) if adj[v]])
+        w = rng.choice(sorted(adj[u]))
+        cases.append((adj, k, {u: k - 1, w: k - 1}))
+        cases.append((adj, k, {u: rng.choice((-1, k, k + 1))}))
+    for adj, k, pins in cases:
+        assert not brute_force_colorable(adj, k, pins), (adj, k, pins)
+        assert color_vertices_k(adj, k, Budget(nodes=0), pins) is None, (adj, k, pins)
+
+
+def test_pinned_vertex_of_low_degree_keeps_its_color():
+    # a pin of degree below k would be peeled and recolored last if it were
+    # not held in the core
+    path = [{1}, {0, 2}, {1}]
+    for c in range(3):
+        assert color_vertices_k(path, 3, pins={0: c, 2: c}) == [c, 0 if c else 1, c]
+    rng = random.Random(19)
+    found = 0
+    for _ in range(60):
+        n = rng.randint(9, 12)
+        k = rng.randint(2, 5)
+        adj = random_graph_with_low_degrees(rng, n, k)
+        low = [v for v in range(n) if len(adj[v]) < k]
+        pins = {v: rng.randrange(k) for v in rng.sample(low, min(len(low), rng.randint(1, 3)))}
+        found += assert_agrees_with_brute_force(adj, k, pins)
+    assert 0 < found < 60
 
 
 def test_refined_sphere_searches_only_its_base():
