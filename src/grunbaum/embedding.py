@@ -421,6 +421,87 @@ def is_separating(emb: Embedding, cycle: FaceCycle) -> SeparationReport:
 
 
 @dataclass(frozen=True)
+class Region:
+    """The triangulated disk on one side of a host cycle, in host terms.
+
+    ``vertices`` are host ids in ascending order, and region ids index
+    them; ``adjacency[i]`` lists the region neighbours of vertex i in host
+    rotation order.  ``edges`` are the region's host edge ids, ascending.
+    ``boundary`` walks the cycle with the region on its dart side, as region
+    ids, and ``boundary_edges[i]`` is the host edge from ``boundary[i]`` to
+    the next boundary vertex.
+    """
+
+    vertices: tuple[int, ...]
+    adjacency: tuple[tuple[int, ...], ...]
+    edges: tuple[int, ...]
+    boundary: tuple[int, ...]
+    boundary_edges: tuple[int, ...]
+
+
+def _side_region(emb: Embedding, darts: tuple[int, ...]) -> Region:
+    """The region on the dart side of a closed walk, or SideNotADisk."""
+    fs = trace_faces(emb)
+    blocked = {d >> 1 for d in darts}
+    region = _flood(dual_graph(emb), (fs.face_of[d] for d in darts), blocked)
+    if not region.isdisjoint(fs.face_of[d ^ 1] for d in darts):
+        raise SideNotADisk("cycle does not separate; no disk on that side")
+
+    kept = defaultdict(set)  # kept vertex -> its neighbours in the region
+    edges = set()
+    for d in (d for f in region for d in fs.faces[f]):
+        e = d >> 1
+        both = fs.face_of[d ^ 1] in region
+        if both == (e in blocked):
+            raise SideNotADisk("cycle edge has both sides in the region" if both
+                               else "region leaks across a non-cycle edge")
+        edges.add(e)
+        u, v = emb.edge_ends(e)
+        kept[u].add(v)
+        kept[v].add(u)
+    # the boundary twins close the region into a surface of genus g with
+    # m >= 1 more faces: V - E + F + m = 2 - 2g, so V - E + F = 1 exactly
+    # when g = 0 and m = 1, a planar disk whose outer face is the cycle
+    if len(kept) - len(edges) + len(region) != 1:
+        raise SideNotADisk("region side is not a disk")
+
+    verts = sorted(kept)
+    relabel = {v: i for i, v in enumerate(verts)}
+    return Region(
+        tuple(verts),
+        tuple(tuple(relabel[w] for w in emb.rotation(v) if w in kept[v]) for v in verts),
+        tuple(sorted(edges)),
+        tuple(relabel[emb.tail(d)] for d in darts),
+        tuple(d >> 1 for d in darts),
+    )
+
+
+def cycle_region(
+    emb: Embedding,
+    cycle: FaceCycle,
+    side: Literal["interior", "exterior"] | None = None,
+) -> Region:
+    """The disk that one side of a separating (or facial) cycle bounds,
+    read off the host without building an embedding for it.
+
+    "interior" is the side the cycle's darts face, "exterior" the twins';
+    None takes the interior when it is a disk and the exterior otherwise.
+    The side's faces are flooded over the dual without crossing the cycle;
+    it must not reach the other side, every cycle edge must have exactly
+    one side in it, and V - E + F must be 1.  Any failure raises
+    SideNotADisk.  An exterior region walks the cycle backwards, so that
+    the region stays on its dart side.
+    """
+    if side != "exterior":
+        try:
+            return _side_region(emb, cycle.darts)
+        except SideNotADisk:
+            if side == "interior":
+                raise
+    return _side_region(emb, tuple(d ^ 1 for d in reversed(cycle.darts)))
+
+
+@dataclass(frozen=True)
 class Disk:
     """A planar triangulated region cut out of a host embedding.
 
@@ -443,54 +524,33 @@ class Disk:
     def interior_vertex_count(self) -> int:
         return self.embedding.num_vertices - len(self.boundary_darts)
 
+    def as_region(self) -> Region:
+        """The whole disk as a region of its own embedding."""
+        emb = self.embedding
+        return Region(tuple(range(emb.num_vertices)), emb.rotations,
+                      tuple(range(emb.num_edges)), self.boundary_vertices(),
+                      self.boundary_edges)
+
 
 def extract_disk(
-    emb: Embedding, cycle: FaceCycle, side: Literal["interior", "exterior"] = "interior"
+    emb: Embedding,
+    cycle: FaceCycle,
+    side: Literal["interior", "exterior"] | None = "interior",
 ) -> Disk:
     """Cut out one side of a separating (or facial) cycle as a planar disk.
 
-    "interior" is the side the cycle's darts face; "exterior" the twins'.
-    The returned embedding has the cycle as its outer face and inherits the
-    host's cyclic orders, with vertices relabeled to 0..k-1 in ascending
-    host order.  The disk's boundary walk always keeps the region on its
-    dart side, so an exterior extraction reverses the walk.
+    The side is found and checked by :func:`cycle_region` (None: whichever
+    side is a disk).  The returned embedding has the cycle as its outer
+    face and inherits the host's cyclic orders, with vertices relabeled to
+    0..k-1 in ascending host order.  The disk's boundary walk always keeps
+    the region on its dart side, so an exterior extraction reverses the
+    walk.
     """
-    fs = trace_faces(emb)
-    dual = dual_graph(emb)
-    blocked = set(cycle.edges)
-    if side == "interior":
-        darts = cycle.darts
-    else:
-        darts = tuple(d ^ 1 for d in reversed(cycle.darts))
-    region = _flood(dual, (fs.face_of[d] for d in darts), blocked)
-    if not region.isdisjoint(fs.face_of[d ^ 1] for d in darts):
-        raise SideNotADisk("cycle does not separate; no disk on that side")
-
-    kept = defaultdict(set)  # kept vertex -> its neighbours in the region
-    for d in (d for f in region for d in fs.faces[f]):
-        both = fs.face_of[d ^ 1] in region
-        if both == (d >> 1 in blocked):
-            raise SideNotADisk("cycle edge has both sides in the region" if both
-                               else "region leaks across a non-cycle edge")
-        u, v = emb.edge_ends(d >> 1)
-        kept[u].add(v)
-        kept[v].add(u)
-
-    verts = sorted(kept)
-    relabel = {v: i for i, v in enumerate(verts)}
-    sub = Embedding([[relabel[w] for w in emb.rotation(v) if w in kept[v]] for v in verts])
-    if genus(sub) != 0:
-        raise SideNotADisk("region side is not planar")
-
-    boundary = tuple(
-        sub.dart(relabel[emb.tail(d)], relabel[emb.head(d)]) for d in darts
-    )
-    sub_faces = trace_faces(sub)
-    outer = sub_faces.face_of[boundary[0] ^ 1]
-    outer_edges = {d >> 1 for d in sub_faces.faces[outer]}
-    if outer_edges != {d >> 1 for d in boundary} or sub_faces.size(outer) != len(boundary):
-        raise SideNotADisk("outer face is not the extraction cycle")
-    return Disk(sub, boundary, tuple(verts), outer)
+    region = cycle_region(emb, cycle, side)
+    sub = Embedding(region.adjacency)
+    walk = region.boundary
+    boundary = tuple(sub.dart(u, walk[(i + 1) % len(walk)]) for i, u in enumerate(walk))
+    return Disk(sub, boundary, region.vertices, trace_faces(sub).face_of[boundary[0] ^ 1])
 
 
 def cap_with_apex(disk: Disk) -> Embedding:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, wraps
+from functools import wraps
 from typing import Sequence
 
 from . import catalog as cat
@@ -32,6 +32,8 @@ from .embedding import (
     Disk,
     Embedding,
     FaceCycle,
+    Region,
+    cycle_region,
     extract_disk,
     genus,
     is_triangulation,
@@ -162,18 +164,10 @@ def _verified_report(
 # -- disks ---------------------------------------------------------------------------
 
 
-def extract_region(emb: Embedding, cycle: FaceCycle) -> Disk:
-    """The disk bounded by the cycle, whichever side it lies on."""
-    try:
-        return extract_disk(emb, cycle, "interior")
-    except SideNotADisk:
-        return extract_disk(emb, cycle, "exterior")
-
-
 def _cycle_disk(host: Embedding, cycle: FaceCycle) -> tuple[Disk, tuple[int, ...]]:
-    """The disk bounded by a host cycle, and the disk edge ids of the
-    cycle's edges in cycle order."""
-    disk = extract_region(host, cycle)
+    """The disk bounded by a host cycle, on whichever side it lies, and the
+    disk edge ids of the cycle's edges in cycle order."""
+    disk = extract_disk(host, cycle, None)
     back = {h: i for i, h in enumerate(disk.to_host)}
     return disk, tuple(
         disk.embedding.edge_id(back[host.tail(d)], back[host.head(d)])
@@ -208,6 +202,48 @@ _KIND_REPRESENTATIVE = {
 }
 
 
+def fill_region(
+    host: Embedding,
+    region: Region,
+    out: dict[int, int],
+    budget: Budget | None = None,
+) -> list[int] | None:
+    """Color a region of the host with its boundary edges at the colors
+    ``out`` holds for them (host edge -> color), add the colors of all its
+    edges to ``out``, and return its vertex colors in region order; None,
+    with ``out`` left as it was, when no coloring takes those colors.
+
+    The boundary colors give the boundary labels, from 0 on, by label
+    changes of color + 1.  A walk that does not close is the parity lemma
+    and spends no node; otherwise each boundary vertex is pinned to its
+    label, the region is 4-colored and lifted: edge {u, v} takes the color
+    of c(u) ^ c(v).  A host edge that already holds another color raises
+    NoTableEntry.
+    """
+    labels = [0]
+    for e in region.boundary_edges:
+        labels.append(labels[-1] ^ (out[e] + 1))
+    if labels.pop():
+        return None
+    vc = color_vertices_k([set(a) for a in region.adjacency], 4, budget,
+                          dict(zip(region.boundary, labels)))
+    if vc is None:
+        return None
+    color = dict(zip(region.vertices, vc))
+    for e in region.edges:
+        u, v = host.edge_ends(e)
+        c = (color[u] ^ color[v]) - 1
+        if out.setdefault(e, c) != c:
+            raise NoTableEntry(f"conflicting colors for host edge {e}")
+    return vc
+
+
+def _fill(host: Embedding, region: Region, out: dict[int, int], budget: Budget | None):
+    """Fill a region whose boundary colors ``out`` fixes, or raise."""
+    if fill_region(host, region, out, budget) is None:
+        raise NoTableEntry("disk cannot take its boundary colors")
+
+
 def solve_disk(
     disk: Disk,
     positions: Sequence[int],
@@ -216,35 +252,36 @@ def solve_disk(
 ) -> EdgeColoring | None:
     """Color a disk with its boundary edges at ``positions`` pinned to
     ``colors``, all of them and no other edge; None when no such coloring
-    exists.
-
-    The pins give the boundary labels, from 0 on, by label changes of pin + 1.
-    A walk that does not close is the parity lemma and spends no node;
-    otherwise each boundary vertex is pinned to its label, and lifted.
-    """
-    pins = dict(zip(positions, colors))
-    if pins.keys() != set(disk.boundary_edges):
+    exists.  The disk is solved as a region of its own embedding
+    (:func:`fill_region`)."""
+    out = dict(zip(positions, colors))
+    if out.keys() != set(disk.boundary_edges):
         raise ValueError("solve_disk pins exactly the disk's boundary edges")
-    labels = [0]
-    for e in disk.boundary_edges:
-        labels.append(labels[-1] ^ (pins[e] + 1))
-    if labels.pop():
+    if fill_region(disk.embedding, disk.as_region(), out, budget) is None:
         return None
-    emb = disk.embedding
-    vc = color_vertices_k(emb.adjacency(), 4, budget,
-                          dict(zip(disk.boundary_vertices(), labels)))
-    return None if vc is None else tait_lift(emb, vc)
+    return EdgeColoring(tuple(out[e] for e in range(disk.embedding.num_edges)))
+
+
+def region_square_kinds(
+    host: Embedding, region: Region, edges: Sequence[int], budget: Budget | None = None
+) -> frozenset[str]:
+    """Which of A, B1, B2, C a region of the host can show on its boundary,
+    read as a square along the host edges ``edges``."""
+    if set(edges) != set(region.boundary_edges):
+        raise ValueError("square kinds are read along exactly the boundary edges")
+    budget = budget or Budget()
+    return frozenset(
+        kind for kind, pattern in _KIND_REPRESENTATIVE.items()
+        if fill_region(host, region, dict(zip(edges, pattern)), budget) is not None
+    )
 
 
 def achievable_square_kinds(
     disk: Disk, positions: tuple[int, ...], budget: Budget | None = None
 ) -> frozenset[str]:
-    """Which of A, B1, B2, C the disk can show on its boundary."""
-    budget = budget or Budget()
-    return frozenset(
-        kind for kind, pattern in _KIND_REPRESENTATIVE.items()
-        if solve_disk(disk, positions, pattern, budget) is not None
-    )
+    """Which of A, B1, B2, C the disk can show on its boundary, read along
+    its edges ``positions``."""
+    return region_square_kinds(disk.embedding, disk.as_region(), positions, budget)
 
 
 # square coloring type -> the signature kinds a square of that type shows
@@ -336,11 +373,6 @@ def apply_case_table(variant: str, observed) -> CaseEntry:
 
 # -- frames: a catalog embedding matched inside a host ------------------------------
 
-# the six-regular frames, colored by edge role: frame name -> its grid, built
-# on import so that no solve pays for it
-_GRID_FRAMES = {"k7": cat.gen_altshuler(1, 7, 2), "c11cubed": cat.gen_altshuler(1, 11, 2)}
-
-
 @dataclass(frozen=True)
 class Frame:
     name: str                      # catalog embedding or grid id
@@ -386,15 +418,19 @@ def _face_signature(emb: Embedding) -> tuple:
     return fs.census(), sorted(sorted(c) for c in corners)
 
 
+# the six-regular frames, colored by edge role (frame name -> its grid), and
+# every frame's face signature; both are built on import, so that no solve
+# pays for them and the first solve makes no more calls than the next
+_GRID_FRAMES = {"k7": cat.gen_altshuler(1, 7, 2), "c11cubed": cat.gen_altshuler(1, 11, 2)}
+
+
 def _frame_embedding(name: str) -> Embedding:
     grid = _GRID_FRAMES.get(name)
     return grid.embedding if grid else cat.catalog_embedding(name)
 
 
-@cache
-def _frame_signature(name: str) -> tuple:
-    """A frame's face signature, computed on its first match, not on import."""
-    return _face_signature(_frame_embedding(name))
+_FRAME_SIGNATURES = {name: _face_signature(_frame_embedding(name))
+                     for names in _PATTERN_FRAMES.values() for name in names}
 
 
 def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
@@ -411,7 +447,7 @@ def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
     sub = _restrict_rotations(host, mapping)
     signature = _face_signature(sub)
     for name in _PATTERN_FRAMES[pattern]:
-        if _frame_signature(name) != signature:
+        if _FRAME_SIGNATURES[name] != signature:
             continue
         cat_emb = _frame_embedding(name)
         for vmap_cs in embedding_isomorphisms(cat_emb, sub):
@@ -469,15 +505,6 @@ def _merge_entry(host, frame, entry, cat_cycle, disk, positions, coloring) -> di
     return _place(host, disk.embedding, disk.to_host, coloring, out)
 
 
-def _pin_disk(host, disk, positions, cycle, out, budget):
-    """Solve the disk with its boundary pinned to the host colors on the
-    cycle, and place it."""
-    solved = solve_disk(disk, positions, [out[e] for e in cycle.edges], budget)
-    if solved is None:
-        raise NoTableEntry("disk cannot take its boundary colors")
-    _place(host, disk.embedding, disk.to_host, solved, out)
-
-
 def extend_over_face(
     host: Embedding,
     face_cycle: FaceCycle,
@@ -486,15 +513,16 @@ def extend_over_face(
 ):
     """Fill the triangulated region behind a tricolored triangle of the frame.
 
-    The region is cut out, solved with its three boundary edges pinned to
-    their colors (:func:`solve_disk`), and transplanted.  A triangle that is
-    a face of the host has nothing behind it.
+    The region is read off the host (:func:`cycle_region`), colored with
+    its three boundary edges at their colors in ``out``, and its edge
+    colors are written into ``out`` (:func:`fill_region`); no embedding is
+    built for it.  A triangle that is a face of the host has nothing
+    behind it.
     """
     face_of = trace_faces(host).face_of
     if len({face_of[d] for d in face_cycle.darts}) == 1:
         return
-    disk, positions = _cycle_disk(host, face_cycle)
-    _pin_disk(host, disk, positions, face_cycle, out, budget)
+    _fill(host, cycle_region(host, face_cycle), out, budget)
 
 
 def _extend_over_triangles(host, sub, vmap, out, budget):
@@ -575,8 +603,10 @@ def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
     variant = "444A" if frame.name == "k6-444a" else "444B"
     labeling = cat.labeling_cycles(frame.name)
     squares = labeling["squares"]
-    disks = [_cycle_disk(host, frame.host_cycle(host, cyc)) for cyc in squares]
-    kinds = [achievable_square_kinds(disk, pos, budget) for disk, pos in disks]
+    cycles = [frame.host_cycle(host, cyc) for cyc in squares]
+    regions = [cycle_region(host, cyc) for cyc in cycles]
+    kinds = [region_square_kinds(host, region, cyc.edges, budget)
+             for region, cyc in zip(regions, cycles)]
     types = tuple(square_disk_type(k) for k in kinds)
     trace.append(f"square types {types}")
     entry = apply_case_table(variant, types)
@@ -598,8 +628,8 @@ def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
         else:
             raise NoTableEntry(f"no rotation of {entry.figure_id} fits types {types}")
     out = _place(host, frame.cat_emb, frame.vmap, coloring, {})
-    for (disk, pos), cyc in zip(disks, squares):
-        _pin_disk(host, disk, pos, frame.host_cycle(host, cyc), out, budget)
+    for region in regions:
+        _fill(host, region, out, budget)
     return _finish(host, frame, out, method, trace, budget)
 
 
@@ -655,9 +685,9 @@ def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
     labeling = cat.labeling_cycles("k6-54")
     pent_disk, pent_pos = _cycle_disk(host, frame.host_cycle(host, labeling["pentagon"]))
     sq_cyc = frame.host_cycle(host, labeling["square"])
-    sq_disk, sq_pos = _cycle_disk(host, sq_cyc)
+    sq_region = cycle_region(host, sq_cyc)
 
-    sq_type = square_disk_type(achievable_square_kinds(sq_disk, sq_pos, budget))
+    sq_type = square_disk_type(region_square_kinds(host, sq_region, sq_cyc.edges, budget))
     target_kind = "B1" if sq_type == 3 else "A"
     trace.append(f"square type {sq_type}, target {target_kind}")
 
@@ -669,7 +699,7 @@ def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
     trace.append(f"table entry {entry.figure_id}")
     out = _merge_entry(host, frame, entry, labeling["pentagon"], pent_disk, pent_pos,
                        coloring)
-    _pin_disk(host, sq_disk, sq_pos, sq_cyc, out, budget)
+    _fill(host, sq_region, out, budget)
     return _finish(host, frame, out, method, trace, budget)
 
 

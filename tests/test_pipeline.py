@@ -1,7 +1,11 @@
 import ast
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from contextlib import redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -49,7 +53,6 @@ from grunbaum.pipeline import (
     apex_solve,
     apply_case_table,
     extend_into_faces,
-    extract_region,
     recognize_grid_coloring,
     solve,
     solve_disk,
@@ -332,7 +335,7 @@ def test_quad_apex_never_alternating():
         cyc = FaceCycle.from_darts(
             g, [g.dart(base.tail(d), base.head(d)) for d in quad_cycle.darts]
         )
-        disk = extract_region(g, cyc)
+        disk = extract_disk(g, cyc, None)
         coloring = apex_solve(disk)
         boundary = []
         back = {h: i for i, h in enumerate(disk.to_host)}
@@ -556,22 +559,59 @@ def test_cli_budget_exits_0_found_or_1_unknown(data):
 
 
 def test_failed_extension_is_not_reported_found(monkeypatch):
-    real_solve_disk = pipeline.solve_disk
+    # the fault enters through the pinned region solve, which fills every
+    # triangle behind a frame face: one interior edge gets another color
+    real_fill_region = pipeline.fill_region
 
-    def bad_solve_disk(disk, positions, colors, budget=None):
-        coloring = real_solve_disk(disk, positions, colors, budget)
-        if coloring is None:
-            return None
-        boundary = set(disk.boundary_edges)
-        e = next(e for e in range(disk.embedding.num_edges) if e not in boundary)
-        return coloring.recolored({e: (coloring[e] + 1) % 3})
+    def bad_fill_region(host, region, out, budget=None):
+        colors = real_fill_region(host, region, out, budget)
+        if colors is not None:
+            e = next(e for e in region.edges if e not in region.boundary_edges)
+            out[e] = (out[e] + 1) % 3
+        return colors
 
-    monkeypatch.setattr(pipeline, "solve_disk", bad_solve_disk)
+    monkeypatch.setattr(pipeline, "fill_region", bad_fill_region)
     k7 = gen_named("K7")
     with pytest.raises(VerificationFailed):
         extend_into_faces(k7, solve_exact(k7).coloring, random_refinement(k7, 9, seed=4))
     report = solve_torus(_route_host("k6-6"))
     assert _unknown_stage(report) == ("K7", "coloring failed verification")
+
+
+def test_first_solve_makes_the_calls_of_the_next():
+    # work cached lazily on the first solve of a process would make that
+    # solve trace more faces than the next; only a fresh interpreter shows it
+    script = textwrap.dedent("""
+        import json
+        import sys
+        from grunbaum import embedding, pipeline
+        from grunbaum.catalog import catalog_embedding, triangulate_faces
+
+        host = triangulate_faces(catalog_embedding("k6-54"))
+        real, calls = embedding.trace_faces, []
+
+        def counted(emb):
+            calls.append(emb)
+            return real(emb)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("grunbaum"):
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        setattr(module, key, counted)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            report = pipeline.solve(embedding.build_embedding(host.rotations))
+            counts.append([report.method, len(calls)])
+        print(json.dumps(counts))
+    """)
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    first, second = json.loads(run.stdout)
+    assert first[0] == "CRITICAL(54)"
+    assert first == second
 
 
 def test_failed_exact_coloring_is_not_reported_found(monkeypatch):
