@@ -232,8 +232,8 @@ def kempe_chain(
     """Connected component, under dual adjacency, of the edges colored with
     either chain color, containing the seed edge.
 
-    ``exclude_faces`` removes dual nodes (used to drop a disk's outer face so
-    chains become boundary-to-boundary paths).
+    ``exclude_faces`` removes dual nodes (used to drop the faces across a
+    disk's boundary, so chains become boundary-to-boundary paths).
     """
     pair = frozenset(colors)
     if len(pair) != 2 or not pair <= set(COLORS):

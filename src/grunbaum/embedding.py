@@ -427,16 +427,20 @@ class Region:
     ``vertices`` are host ids in ascending order, and region ids index
     them; ``adjacency[i]`` lists the region neighbours of vertex i in host
     rotation order.  ``edges`` are the region's host edge ids, ascending.
-    ``boundary`` walks the cycle with the region on its dart side, as region
-    ids, and ``boundary_edges[i]`` is the host edge from ``boundary[i]`` to
-    the next boundary vertex.
+    ``boundary_darts`` walk the cycle as host darts with the region on their
+    side, so ``face_of[d ^ 1]`` is the face across the boundary at dart d;
+    ``boundary[i]`` is the tail of ``boundary_darts[i]``, as a region id.
     """
 
     vertices: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
     edges: tuple[int, ...]
     boundary: tuple[int, ...]
-    boundary_edges: tuple[int, ...]
+    boundary_darts: tuple[int, ...]
+
+    @property
+    def boundary_edges(self) -> tuple[int, ...]:
+        return tuple(d >> 1 for d in self.boundary_darts)
 
 
 def _side_region(emb: Embedding, darts: tuple[int, ...]) -> Region:
@@ -472,7 +476,7 @@ def _side_region(emb: Embedding, darts: tuple[int, ...]) -> Region:
         tuple(tuple(relabel[w] for w in emb.rotation(v) if w in kept[v]) for v in verts),
         tuple(sorted(edges)),
         tuple(relabel[emb.tail(d)] for d in darts),
-        tuple(d >> 1 for d in darts),
+        darts,
     )
 
 
@@ -529,7 +533,7 @@ class Disk:
         emb = self.embedding
         return Region(tuple(range(emb.num_vertices)), emb.rotations,
                       tuple(range(emb.num_edges)), self.boundary_vertices(),
-                      self.boundary_edges)
+                      self.boundary_darts)
 
 
 def extract_disk(

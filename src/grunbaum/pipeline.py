@@ -34,7 +34,6 @@ from .embedding import (
     FaceCycle,
     Region,
     cycle_region,
-    extract_disk,
     genus,
     is_triangulation,
     trace_faces,
@@ -164,32 +163,33 @@ def _verified_report(
 # -- disks ---------------------------------------------------------------------------
 
 
-def _cycle_disk(host: Embedding, cycle: FaceCycle) -> tuple[Disk, tuple[int, ...]]:
-    """The disk bounded by a host cycle, on whichever side it lies, and the
-    disk edge ids of the cycle's edges in cycle order."""
-    disk = extract_disk(host, cycle, None)
-    back = {h: i for i, h in enumerate(disk.to_host)}
-    return disk, tuple(
-        disk.embedding.edge_id(back[host.tail(d)], back[host.head(d)])
-        for d in cycle.darts
-    )
+def _lift_into(host: Embedding, region: Region, vc: Sequence[int],
+               out: dict[int, int]) -> dict[int, int]:
+    """Add the lift of the region's vertex colors ``vc`` to ``out`` (host edge
+    -> color) and return it; a host edge holding another color raises."""
+    color = dict(zip(region.vertices, vc))
+    for e in region.edges:
+        u, v = host.edge_ends(e)
+        c = (color[u] ^ color[v]) - 1
+        if out.setdefault(e, c) != c:
+            raise NoTableEntry(f"conflicting colors for host edge {e}")
+    return out
 
 
-def apex_solve(disk: Disk, budget: Budget | None = None) -> PartialColoring:
-    """Color a disk as the sphere an apex over its boundary closes it into
-    (``cap_with_apex``'s graph, the apex at id n), with the boundary parity
-    that sphere forces: a disk is simply connected, so its colorings are
-    exactly the lifts ``c(u) ^ c(v)`` of vertex 4-colorings c."""
-    emb = disk.embedding
-    n = emb.num_vertices
-    boundary = disk.boundary_vertices()
-    adj = emb.adjacency() + [set(boundary)]
-    for v in boundary:
+def apex_solve(host: Embedding, region: Region, budget: Budget | None = None) -> PartialColoring:
+    """Color a region of the host as the sphere an apex over its boundary
+    closes it into (``cap_with_apex``'s graph, the apex at id n), with the
+    boundary parity that sphere forces: a disk is simply connected, so its
+    colorings are exactly the lifts ``c(u) ^ c(v)`` of vertex 4-colorings c.
+    The colors sit on host edge ids; edges outside the region stay None."""
+    n = len(region.vertices)
+    adj = [set(a) for a in region.adjacency] + [set(region.boundary)]
+    for v in region.boundary:
         adj[v].add(n)
     vc = color_vertices_k(adj, 4, budget)
     if vc is None:
         raise NoTableEntry("capped disk is not 4-colorable")
-    return tait_lift(emb, vc[:n]).as_partial()
+    return PartialColoring.from_dict(host.num_edges, _lift_into(host, region, vc, {}))
 
 
 # one pinned boundary per square signature: a signature fixes the exact
@@ -216,9 +216,8 @@ def fill_region(
     The boundary colors give the boundary labels, from 0 on, by label
     changes of color + 1.  A walk that does not close is the parity lemma
     and spends no node; otherwise each boundary vertex is pinned to its
-    label, the region is 4-colored and lifted: edge {u, v} takes the color
-    of c(u) ^ c(v).  A host edge that already holds another color raises
-    NoTableEntry.
+    label, and the region is 4-colored and lifted: edge {u, v} takes the
+    color of c(u) ^ c(v), and one that already holds another raises.
     """
     labels = [0]
     for e in region.boundary_edges:
@@ -227,14 +226,8 @@ def fill_region(
         return None
     vc = color_vertices_k([set(a) for a in region.adjacency], 4, budget,
                           dict(zip(region.boundary, labels)))
-    if vc is None:
-        return None
-    color = dict(zip(region.vertices, vc))
-    for e in region.edges:
-        u, v = host.edge_ends(e)
-        c = (color[u] ^ color[v]) - 1
-        if out.setdefault(e, c) != c:
-            raise NoTableEntry(f"conflicting colors for host edge {e}")
+    if vc is not None:
+        _lift_into(host, region, vc, out)
     return vc
 
 
@@ -251,12 +244,12 @@ def solve_disk(
     budget: Budget | None = None,
 ) -> EdgeColoring | None:
     """Color a disk with its boundary edges at ``positions`` pinned to
-    ``colors``, all of them and no other edge; None when no such coloring
-    exists.  The disk is solved as a region of its own embedding
+    ``colors``, each boundary edge once and no other edge; None when no such
+    coloring exists.  The disk is solved as a region of its own embedding
     (:func:`fill_region`)."""
+    if sorted(positions) != sorted(disk.boundary_edges) or len(colors) != len(positions):
+        raise ValueError("solve_disk pins each boundary edge once, to one color")
     out = dict(zip(positions, colors))
-    if out.keys() != set(disk.boundary_edges):
-        raise ValueError("solve_disk pins exactly the disk's boundary edges")
     if fill_region(disk.embedding, disk.as_region(), out, budget) is None:
         return None
     return EdgeColoring(tuple(out[e] for e in range(disk.embedding.num_edges)))
@@ -267,8 +260,8 @@ def region_square_kinds(
 ) -> frozenset[str]:
     """Which of A, B1, B2, C a region of the host can show on its boundary,
     read as a square along the host edges ``edges``."""
-    if set(edges) != set(region.boundary_edges):
-        raise ValueError("square kinds are read along exactly the boundary edges")
+    if len(edges) != 4 or sorted(edges) != sorted(region.boundary_edges):
+        raise ValueError("square kinds are read along a square's four boundary edges")
     budget = budget or Budget()
     return frozenset(
         kind for kind, pattern in _KIND_REPRESENTATIVE.items()
@@ -497,12 +490,12 @@ def _recolor_to(coloring: PartialColoring, positions: Sequence[int],
     return coloring.permuted(tuple(perm[c] for c in COLORS))
 
 
-def _merge_entry(host, frame, entry, cat_cycle, disk, positions, coloring) -> dict[int, int]:
-    """The table entry on the host, recolored so that its labeling cycle
-    agrees with the disk's coloring at ``positions``, and the disk placed too."""
+def _merge_entry(host, frame, entry, cat_cycle, region, positions, coloring) -> dict[int, int]:
+    """The region's host colors, with the table entry placed on the host,
+    recolored so that its labeling cycle agrees with them at ``positions``."""
     recolored = _recolor_to(entry.coloring, cat_cycle.edges, [coloring[p] for p in positions])
-    out = _place(host, frame.cat_emb, frame.vmap, recolored, {})
-    return _place(host, disk.embedding, disk.to_host, coloring, out)
+    return _place(host, frame.cat_emb, frame.vmap, recolored,
+                  {e: coloring[e] for e in region.edges})
 
 
 def extend_over_face(
@@ -638,18 +631,27 @@ def _permute_vertices(emb: Embedding, coloring: PartialColoring, vperm) -> Parti
     return PartialColoring.from_dict(emb.num_edges, _place(emb, emb, vperm, coloring, {}))
 
 
+def _outside_faces(host: Embedding, region: Region) -> set[int]:
+    """The host faces across the region's boundary, which its chains skip."""
+    face_of = trace_faces(host).face_of
+    return {face_of[d ^ 1] for d in region.boundary_darts}
+
+
 def reduce_pentagon_disk(
-    disk: Disk,
+    host: Embedding,
+    region: Region,
     positions: Sequence[int],
     coloring: PartialColoring,
     square_type: int,
 ) -> tuple[PartialColoring, tuple[int, int], list[str]]:
     """Walk the documented pentagon reductions until a direct signature.
 
-    Each step swaps the singleton color at the prescribed edge with the
-    majority color along its chain; the outcome must be one of the two
+    ``positions`` are the pentagon's host edges in cycle order.  Each step
+    swaps the singleton color at the prescribed edge with the majority color
+    along its chain inside the region; the outcome must be one of the two
     signatures the table allows, anything else is a falsification event.
     """
+    outside = _outside_faces(host, region)
     steps: list[str] = []
     sig = tuple(sorted(classify_pentagon([coloring[p] for p in positions]).positions))
     if square_type == 3:
@@ -664,18 +666,13 @@ def reduce_pentagon_disk(
             raise NoTableEntry(f"pentagon signature {sig} has no reduction")
         edge_label, outcomes = step
         seed = positions[edge_label - 1]
-        majority = _majority_color([coloring[p] for p in positions])
-        coloring = kempe_change(
-            disk.embedding, coloring, seed,
-            (coloring[seed], majority), exclude_faces=(disk.outer_face,),
-        )
-        new_sig = tuple(sorted(
-            classify_pentagon([coloring[p] for p in positions]).positions
-        ))
+        observed = [coloring[p] for p in positions]
+        majority = max(set(observed), key=observed.count)
+        coloring = kempe_change(host, coloring, seed, (coloring[seed], majority),
+                                exclude_faces=outside)
+        new_sig = tuple(sorted(classify_pentagon([coloring[p] for p in positions]).positions))
         if new_sig not in outcomes:
-            raise NoTableEntry(
-                f"documented change {sig}->{outcomes} produced {new_sig}"
-            )
+            raise NoTableEntry(f"documented change {sig}->{outcomes} produced {new_sig}")
         steps.append(f"pentagon {sig} -> {new_sig}")
         sig = new_sig
     raise NoTableEntry("pentagon reductions did not terminate")
@@ -683,7 +680,8 @@ def reduce_pentagon_disk(
 
 def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
     labeling = cat.labeling_cycles("k6-54")
-    pent_disk, pent_pos = _cycle_disk(host, frame.host_cycle(host, labeling["pentagon"]))
+    pent_cyc = frame.host_cycle(host, labeling["pentagon"])
+    pent_region = cycle_region(host, pent_cyc)
     sq_cyc = frame.host_cycle(host, labeling["square"])
     sq_region = cycle_region(host, sq_cyc)
 
@@ -691,45 +689,40 @@ def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
     target_kind = "B1" if sq_type == 3 else "A"
     trace.append(f"square type {sq_type}, target {target_kind}")
 
-    coloring = apex_solve(pent_disk, budget=budget)
-    coloring, sig, steps = reduce_pentagon_disk(pent_disk, pent_pos, coloring, sq_type)
+    coloring = apex_solve(host, pent_region, budget=budget)
+    coloring, sig, steps = reduce_pentagon_disk(host, pent_region, pent_cyc.edges, coloring,
+                                                sq_type)
     trace.extend(steps)
 
     entry = apply_case_table("54", (sig, target_kind))
     trace.append(f"table entry {entry.figure_id}")
-    out = _merge_entry(host, frame, entry, labeling["pentagon"], pent_disk, pent_pos,
+    out = _merge_entry(host, frame, entry, labeling["pentagon"], pent_region, pent_cyc.edges,
                        coloring)
     _fill(host, sq_region, out, budget)
     return _finish(host, frame, out, method, trace, budget)
 
 
-def _majority_color(colors: Sequence[int]) -> int:
-    return max(set(colors), key=colors.count)
-
-
 def reduce_hexagon_disk(
-    disk: Disk, positions: Sequence[int], coloring: PartialColoring
+    host: Embedding, region: Region, positions: Sequence[int], coloring: PartialColoring
 ) -> tuple[PartialColoring, "object", list[str]]:
     """Walk the documented hexagon reductions until a direct class.
 
-    The move is a Kempe change at the edge playing the first canonical p,
-    with the chain colors named by the class witness.
+    ``positions`` are the hexagon's host edges in cycle order.  The move is
+    a Kempe change inside the region at the edge playing the first canonical
+    p, with the chain colors named by the class witness.
     """
+    outside = _outside_faces(host, region)
     steps: list[str] = []
     cls = classify_hexagon([coloring[p] for p in positions])
     for _ in range(6):
         if cls.name in HEXAGON_DIRECT:
             return coloring, cls, steps
         letters, outcomes = HEXAGON_REDUCTIONS[cls.name]
-        observed = [coloring[p] for p in positions]
-        letter_color = _letter_colors(observed, cls)
-        first_p = cls.observed_position(cls.name.index("p"))
-        seed = positions[first_p]
-        coloring = kempe_change(
-            disk.embedding, coloring, seed,
-            (letter_color[letters[0]], letter_color[letters[1]]),
-            exclude_faces=(disk.outer_face,),
-        )
+        letter_color = _letter_colors([coloring[p] for p in positions], cls)
+        seed = positions[cls.observed_position(cls.name.index("p"))]
+        coloring = kempe_change(host, coloring, seed,
+                                (letter_color[letters[0]], letter_color[letters[1]]),
+                                exclude_faces=outside)
         new_cls = classify_hexagon([coloring[p] for p in positions])
         if new_cls.name not in outcomes:
             raise NoTableEntry(
@@ -743,22 +736,23 @@ def reduce_hexagon_disk(
 def _route_k6_hex(host, frame, budget, trace, method) -> SolveReport:
     labeling = cat.labeling_cycles("k6-6")
     hex_cat = labeling["hexagon"]
-    disk, pos = _cycle_disk(host, frame.host_cycle(host, hex_cat))
+    hex_cyc = frame.host_cycle(host, hex_cat)
+    region = cycle_region(host, hex_cyc)
 
-    coloring = apex_solve(disk, budget=budget)
-    coloring, cls, steps = reduce_hexagon_disk(disk, pos, coloring)
+    coloring = apex_solve(host, region, budget=budget)
+    coloring, cls, steps = reduce_hexagon_disk(host, region, hex_cyc.edges, coloring)
     trace.extend(steps)
 
     entry = apply_case_table("6", cls.name)
     trace.append(f"table entry {entry.figure_id}")
     # the hexagonal embedding realizes every exact coloring of each direct
     # class, so pin the disk's colors on the frame and re-solve it
-    pins = {ce: coloring[pe] for ce, pe in zip(hex_cat.edges, pos)}
+    pins = {ce: coloring[pe] for ce, pe in zip(hex_cat.edges, hex_cyc.edges)}
     frame_coloring = color_faces(frame.cat_emb, budget, pins)
     if frame_coloring is None:
         raise NoTableEntry(f"frame cannot match hexagon class {cls.name}")
-    out = _place(host, frame.cat_emb, frame.vmap, frame_coloring, {})
-    _place(host, disk.embedding, disk.to_host, coloring, out)
+    out = _place(host, frame.cat_emb, frame.vmap, frame_coloring,
+                 {e: coloring[e] for e in region.edges})
     return _finish(host, frame, out, method, trace, budget)
 
 
@@ -781,10 +775,11 @@ def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
     variant = "H7K2" if frame.name == "h7k2" else "C3C5"
     labeling = cat.labeling_cycles(frame.name)
     quad_cat = labeling["quad"]
-    disk, pos = _cycle_disk(host, frame.host_cycle(host, quad_cat))
+    quad_cyc = frame.host_cycle(host, quad_cat)
+    region = cycle_region(host, quad_cyc)
 
-    coloring = apex_solve(disk, budget=budget)
-    kind = classify_square([coloring[p] for p in pos]).kind
+    coloring = apex_solve(host, region, budget=budget)
+    kind = classify_square([coloring[e] for e in quad_cyc.edges]).kind
     if kind == "A":
         raise NoTableEntry(
             "apex construction produced an alternating square, which the "
@@ -793,7 +788,7 @@ def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
     trace.append(f"quad class {kind}")
     entry = apply_case_table(variant, kind)
     trace.append(f"table entry {entry.figure_id}")
-    out = _merge_entry(host, frame, entry, quad_cat, disk, pos, coloring)
+    out = _merge_entry(host, frame, entry, quad_cat, region, quad_cyc.edges, coloring)
     return _finish(host, frame, out, method, trace, budget)
 
 

@@ -393,7 +393,8 @@ def test_criterion_6_case_tables(capsys):
         disk, pos, coloring = found
         for sq_type in (1, 2, 3):
             try:
-                _, final, _ = reduce_pentagon_disk(disk, pos, coloring, sq_type)
+                _, final, _ = reduce_pentagon_disk(disk.embedding, disk.as_region(), pos,
+                                                   coloring, sq_type)
                 entry = apply_case_table(
                     "54", (frozenset(final), "B1" if sq_type == 3 else "A")
                 )
@@ -416,7 +417,7 @@ def test_criterion_6_case_tables(capsys):
             continue
         disk, pos, coloring = found
         try:
-            _, cls, _ = reduce_hexagon_disk(disk, pos, coloring)
+            _, cls, _ = reduce_hexagon_disk(disk.embedding, disk.as_region(), pos, coloring)
             entry = apply_case_table("6", cls.name)
         except NoTableEntry as exc:
             failures.append(("6", name, str(exc)))

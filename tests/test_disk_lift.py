@@ -17,7 +17,13 @@ from grunbaum.catalog import (
 )
 from grunbaum.coloring import PartialColoring, verify_grunbaum, verify_partial
 from grunbaum.embedding import cap_with_apex
-from grunbaum.pipeline import apex_solve, solve, solve_disk, solve_planar
+from grunbaum.pipeline import (
+    achievable_square_kinds,
+    apex_solve,
+    solve,
+    solve_disk,
+    solve_planar,
+)
 from grunbaum.solver import Budget, solve_exact
 
 
@@ -61,13 +67,30 @@ def test_solve_disk_pins_exactly_the_boundary():
         solve_disk(disk, pos[:3], (0, 1, 0))
     with pytest.raises(ValueError):
         solve_disk(disk, (*pos, inner), (0, 1, 0, 1, 2))
+    with pytest.raises(ValueError):  # a color with no edge
+        solve_disk(disk, pos, (0, 1, 0, 1, 2))
+    with pytest.raises(ValueError):  # an edge pinned twice
+        solve_disk(disk, (*pos, pos[0]), (0, 1, 0, 1, 1))
+
+
+def test_square_kinds_read_exactly_a_square_boundary():
+    pent = enumerate_disks(5, 1)[-1]
+    with pytest.raises(ValueError):
+        achievable_square_kinds(pent, pent.boundary_edges)
+    with pytest.raises(ValueError):
+        achievable_square_kinds(pent, pent.boundary_edges[:4])
+    disk = next(d for d in enumerate_disks(4, 1) if d.interior_vertex_count())
+    pos = disk.boundary_edges
+    with pytest.raises(ValueError):
+        achievable_square_kinds(disk, (*pos, pos[0]))
+    assert achievable_square_kinds(disk, pos)
 
 
 @pytest.mark.parametrize("boundary", [3, 4, 5, 6])
 def test_apex_solve_is_the_capped_sphere_solve(boundary):
     for disk in enumerate_disks(boundary, 3):
         ours, theirs = Budget(), Budget()
-        got = apex_solve(disk, ours)
+        got = apex_solve(disk.embedding, disk.as_region(), ours)
         capped = cap_with_apex(disk)
         sphere = solve_planar(capped, theirs).coloring
         assert got.colors == tuple(sphere[capped.edge_id(u, v)]

@@ -34,6 +34,7 @@ from grunbaum.embedding import (
     FaceCycle,
     build_embedding,
     cap_with_apex,
+    cycle_region,
     extract_disk,
     splice_disk,
     stellate_face,
@@ -155,7 +156,7 @@ def test_solve_disk_fixed_boundary():
 
 def test_apex_solve_parity():
     pent = next(d for d in enumerate_disks(5, 2) if d.interior_vertex_count() == 2)
-    coloring = apex_solve(pent)
+    coloring = apex_solve(pent.embedding, pent.as_region())
     boundary = [coloring[d >> 1] for d in pent.boundary_darts]
     sig = classify_pentagon(boundary)  # raises unless multiplicities are (3,1,1)
     assert len(sig.positions) == 2
@@ -335,13 +336,8 @@ def test_quad_apex_never_alternating():
         cyc = FaceCycle.from_darts(
             g, [g.dart(base.tail(d), base.head(d)) for d in quad_cycle.darts]
         )
-        disk = extract_disk(g, cyc, None)
-        coloring = apex_solve(disk)
-        boundary = []
-        back = {h: i for i, h in enumerate(disk.to_host)}
-        for d in cyc.darts:
-            u, v = g.tail(d), g.head(d)
-            boundary.append(coloring[disk.embedding.edge_id(back[u], back[v])])
+        coloring = apex_solve(g, cycle_region(g, cyc))
+        boundary = [coloring[e] for e in cyc.edges]
         assert classify_square(boundary).kind in ("C", "B1", "B2")
 
 
@@ -360,7 +356,7 @@ def test_square_kinds_budget_is_not_a_missing_kind():
 def test_apex_solve_budget_raises_budget_exceeded():
     pent = next(d for d in enumerate_disks(5, 2) if d.interior_vertex_count() == 2)
     with pytest.raises(BudgetExceeded):
-        apex_solve(pent, Budget(nodes=1))
+        apex_solve(pent.embedding, pent.as_region(), Budget(nodes=1))
 
 
 @pytest.mark.parametrize("name", ["k6-444a", "k6-444b"])
