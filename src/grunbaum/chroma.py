@@ -63,6 +63,24 @@ def pattern_graph(name: str) -> list[set[int]]:
     raise ValueError(f"unknown pattern {name!r}")
 
 
+def _triangle_support_core(adj: Sequence[set[int]], t: int) -> list[set[int]]:
+    """A copy of the graph without the edges that lie in fewer than t
+    triangles, removed one by one, rechecking the edges of each removed
+    edge's triangles, until every edge left lies in t triangles or more."""
+    adj = [set(a) for a in adj]
+    stack = [(u, v) for u, a in enumerate(adj) for v in a
+             if u < v and len(a & adj[v]) < t]
+    while stack:
+        u, v = stack.pop()
+        if v not in adj[u]:
+            continue
+        adj[u].discard(v)
+        adj[v].discard(u)
+        for w in adj[u] & adj[v]:
+            stack.extend((x, w) for x in (u, v) if len(adj[x] & adj[w]) < t)
+    return adj
+
+
 @dataclass(frozen=True)
 class SubgraphMatch:
     pattern: str
@@ -82,13 +100,18 @@ def find_subgraph(
     id order, so the search meets the tuples of images in lexicographic
     order and its first match is the smallest one.
 
-    Two cuts drop only searches that cannot succeed, so they leave that
+    Three cuts drop only searches that cannot succeed, so they leave that
     first match, mapping included, as it is:
 
     - Count filter: a host with fewer vertices of at least the pattern's
       minimum degree than the pattern has vertices holds no embedding, and
       None is returned before any node is counted.  Isolated vertices, such
       as those five_core peels, never count.
+    - Support cut: for a complete pattern K_r, every host edge that lies in
+      fewer than r - 2 triangles is removed, until none is left
+      (:func:`_triangle_support_core`), and the count filter runs again on
+      what is left.  Every edge of a K_r lies in r - 2 of its triangles, so
+      no match loses an edge, and the search runs on the smaller host.
     - Clique symmetry break: for a complete pattern every image must have a
       higher host id than the one before it in the match order.  Any
       ordering of a clique's vertices is a match, so the smallest matching
@@ -104,8 +127,13 @@ def find_subgraph(
     min_deg = min(pat_deg, default=0)
     if sum(1 for d in host_deg if d >= min_deg) < np_:
         return None
-    budget = budget or Budget()
     increasing = all(d == np_ - 1 for d in pat_deg)
+    if increasing:
+        host_adj = _triangle_support_core(host_adj, np_ - 2)
+        host_deg = [len(a) for a in host_adj]
+        if sum(1 for d in host_deg if d >= min_deg) < np_:
+            return None
+    budget = budget or Budget()
     # order: start at max degree, then most-mapped-neighbours first
     order: list[int] = []
     placed = [False] * np_

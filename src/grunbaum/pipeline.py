@@ -16,7 +16,7 @@ from functools import wraps
 from typing import Sequence
 
 from . import catalog as cat
-from .chroma import dispatch_match, five_core
+from .chroma import dispatch_match, five_core, pattern_graph
 from .coloring import (
     COLORS,
     EdgeColoring,
@@ -249,6 +249,8 @@ def solve_disk(
     (:func:`fill_region`)."""
     if sorted(positions) != sorted(disk.boundary_edges) or len(colors) != len(positions):
         raise ValueError("solve_disk pins each boundary edge once, to one color")
+    if any(c not in COLORS for c in colors):
+        raise ValueError(f"solve_disk colors must lie in {COLORS}, not {tuple(colors)}")
     out = dict(zip(positions, colors))
     if fill_region(disk.embedding, disk.as_region(), out, budget) is None:
         return None
@@ -376,14 +378,13 @@ class Frame:
         return _host_cycle(host, self.cat_emb, self.vmap, cycle.darts)
 
 
-def _restrict_rotations(host: Embedding, vmap: Sequence[int]) -> Embedding:
-    """Host rotations filtered to the matched vertex set, relabeled along vmap."""
+def _restrict_rotations(host: Embedding, pattern: Sequence[set[int]],
+                        vmap: Sequence[int]) -> Embedding:
+    """Host rotations filtered to the pattern's edges carried along vmap
+    (pattern vertex -> host vertex), relabeled back to pattern vertices."""
     back = {h: i for i, h in enumerate(vmap)}
-    keep = set(vmap)
-    rotations = []
-    for h in vmap:
-        rotations.append([back[w] for w in host.rotation(h) if w in keep])
-    return Embedding(rotations)
+    return Embedding([[back[w] for w in host.rotation(h) if back.get(w) in pattern[i]]
+                      for i, h in enumerate(vmap)])
 
 
 # the pattern a host contains -> the frames it can sit in; K6 has four torus
@@ -430,14 +431,16 @@ def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
     """Align a frame of the pattern with a matched subgraph of the host.
 
     ``mapping`` sends pattern vertices to host vertices.  The host rotations
-    restricted to the matched vertices give the induced sub-embedding; the
-    first of the pattern's frames with the same face census and corner
-    profile that is isomorphic to it (possibly after a mirror flip) is the
-    frame, and the composed map carries every catalog labeling onto host
-    darts.  K7 and C11^3 are aligned with their grid embedding, whose edge
-    roles color them.
+    restricted to the pattern's edges along ``mapping`` give the
+    sub-embedding; host edges between matched vertices that are not pattern
+    edges, such as a chord of a frame's face, are left out.  The first of
+    the pattern's frames with the same face census and corner profile that
+    is isomorphic to it (possibly after a mirror flip) is the frame, and the
+    composed map carries every catalog labeling onto host darts.  K7 and
+    C11^3 are aligned with their grid embedding, whose edge roles color
+    them.
     """
-    sub = _restrict_rotations(host, mapping)
+    sub = _restrict_rotations(host, pattern_graph(pattern), mapping)
     signature = _face_signature(sub)
     for name in _PATTERN_FRAMES[pattern]:
         if _FRAME_SIGNATURES[name] != signature:

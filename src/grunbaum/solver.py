@@ -9,7 +9,10 @@ a stellated sphere that core is the base.  Pins (vertex -> color) fix
 colors before the search, as a disk's boundary labels or ``--fixed`` edges
 do; the colors above the highest pin stay interchangeable, so cutting their
 symmetry keeps the search exhaustive.  Its node count is one tick per
-search node plus one per peeled vertex; a pinned vertex costs none.
+search node plus one per peeled vertex; a pinned vertex costs none.  A node
+costs time in the uncolored core neighbours of the vertex it colors, not in
+the graph or in k: each uncolored core vertex keeps one bitmask of its
+neighbours' colors, and undo follows a per-frame trail.
 
 The backtracker in :func:`solve_exact` is the brute-force oracle the tests
 and tools check everything else against, so it stays deliberately simple:
@@ -256,19 +259,28 @@ def count_grunbaum_colorings(emb: Embedding, budget: Budget | None = None) -> in
 # -- vertex coloring --------------------------------------------------------------
 
 
-def _greedy_clique(adj: Sequence[set[int]]) -> list[int]:
-    """Greedy clique seeded at the highest-degree vertex; lower bound only."""
+def _greedy_clique(adj: Sequence[set[int]], k: int | None = None) -> list[int]:
+    """Greedy clique seeded at the highest-degree vertex; lower bound only.
+
+    Up to eight starts, from the highest degrees down, keeping the largest.
+    With ``k``, the first start that reaches k vertices is returned, grown
+    to k + 1 at most: a k-coloring can pin only k of them, and more than k
+    refute it.
+    """
     deg = [len(a) for a in adj]
+    cap = len(adj) if k is None else k + 1
     best: list[int] = []
     for start in nlargest(8, range(len(adj)), key=deg.__getitem__):  # ties to lower ids
         clique = [start]
         cands = set(adj[start])
-        while cands:
+        while cands and len(clique) < cap:
             v = max(cands, key=lambda x: (len(adj[x] & cands), -x))
             clique.append(v)
             cands &= adj[v]
         if len(clique) > len(best):
             best = clique
+        if k is not None and len(best) >= k:
+            break
     return best
 
 
@@ -328,17 +340,24 @@ def color_vertices_k(
     lost.  With pins, the bound starts at the highest pinned color.  Without
     them, a greedy clique taken on the whole graph has its core vertices
     pre-colored 0, 1, ... (one taken on the core alone made the refutations
-    of stellated five-chromatic grids longer).
+    of stellated five-chromatic grids longer); a clique of more than k
+    returns None at once, before any node.
 
     Each search node takes the uncolored core vertex with the most distinct
-    colors among its neighbors (saturation), ties to the higher degree, then
-    the lower id, and tries the colors no neighbor uses in increasing order,
-    up to the symmetry bound.  The budget ticks once per search node and
-    once per peeled vertex.  The search is iterative, over an explicit stack
-    of (vertex, next color) frames, so no input size meets the recursion
-    limit.  A node costs O(deg log V): per-vertex counts of neighbor colors
-    keep saturation current as vertices are colored and uncolored, and a
-    heap with lazy deletion yields the next vertex.
+    colors among its neighbors (saturation), ties to the higher degree in
+    the whole graph, then the lower id, and tries the colors no neighbor
+    uses in increasing order, up to the symmetry bound.  The budget ticks
+    once per search node and once per peeled vertex.  The search is
+    iterative, over an explicit stack of (vertex, next color) frames, so no
+    input size meets the recursion limit.
+
+    A node costs O(d log V), d the vertex's uncolored core neighbours.  Each
+    uncolored core vertex keeps one bitmask of its neighbours' colors, and
+    coloring a vertex sets its color's bit only in the uncolored neighbours
+    that lack it.  Those neighbours are the frame's trail: the top frame is
+    always the vertex colored last, so undo is last in, first out, and
+    clears exactly those bits.  A heap with lazy deletion yields the next
+    vertex.
     """
     n = len(adj)
     budget = budget or Budget()
@@ -346,55 +365,44 @@ def color_vertices_k(
     if any(not 0 <= c < k or any(pins.get(w) == c for w in adj[v])
            for v, c in pins.items()):
         return None
-    clique = [] if pins else _greedy_clique(adj)
+    clique = [] if pins else _greedy_clique(adj, k)
     if len(clique) > k:
         return None
     peeled = peel_order(adj, k, pins)
 
     # a peeled vertex holds color k, no color at all, until the core is
-    # colored: it never enters the heap and blocks no color
+    # colored: it is never searched and blocks no color
     colors = [-1] * n
     for v in peeled:
         colors[v] = k
     # without pins, the greedy clique's core vertices are pinned to 0, 1, ...
     pins = pins or dict(zip((v for v in clique if colors[v] < 0), range(k)))
-    seen = [[0] * k for _ in range(n)]  # seen[w][c]: neighbors of w colored c
+    for v, c in pins.items():
+        colors[v] = c
+    # per uncolored core vertex: the colors its neighbours use, as a mask
+    # and their number, its degree negated, and its uncolored neighbours,
+    # the only vertices that are ever uncolored
+    free = [v for v in range(n) if colors[v] < 0]
+    mask = [0] * n
     sat = [0] * n
-    negdeg = [-len(a) for a in adj]
+    negdeg = [0] * n
+    nbrs: list[list[int]] = [[]] * n
+    for v, c in pins.items():
+        for w in adj[v]:
+            if colors[w] < 0:
+                mask[w] |= 1 << c
+    for v in free:
+        sat[v] = mask[v].bit_count()
+        negdeg[v] = -len(adj[v])
+        nbrs[v] = [w for w in adj[v] if colors[w] < 0]
     # (-sat, -degree, id); an entry is live while its vertex is uncolored
     # and its saturation is current, so stale entries are skipped at the top
-    heap: list[tuple[int, int, int]] = []
-
-    def recolor(v: int, c: int) -> None:
-        """Give v color c (-1 for none), keeping seen, sat and the heap current."""
-        old = colors[v]
-        colors[v] = c
-        for w in adj[v]:
-            row = seen[w]
-            s = sat[w]
-            if old >= 0:
-                row[old] -= 1
-                if not row[old]:
-                    s -= 1
-            if c >= 0:
-                if not row[c]:
-                    s += 1
-                row[c] += 1
-            if s != sat[w]:
-                sat[w] = s
-                if colors[w] < 0:
-                    heappush(heap, (-s, negdeg[w], w))
-        if c < 0:
-            heappush(heap, (-sat[v], negdeg[v], v))
-
-    for v, c in pins.items():
-        recolor(v, c)
-    heap[:] = [(-sat[v], negdeg[v], v) for v in range(n) if colors[v] < 0]
+    heap = [(-sat[v], negdeg[v], v) for v in free]
     heapify(heap)
 
     # frames [vertex, next color to try, color bound, highest color in use
-    # before the vertex was colored]
-    stack: list[list[int]] = []
+    # before the vertex was colored, trail]
+    stack: list[list] = []
     highest = max(pins.values(), default=-1)
     while True:
         budget.tick()
@@ -404,22 +412,37 @@ def color_vertices_k(
             break
         v = heap[0][2]
         if sat[v] < k:
-            stack.append([v, 0, min(k, highest + 2), highest])
+            stack.append([v, 0, min(k, highest + 2), highest, []])
         # color the top frame's vertex with its next free color, dropping
         # frames whose colors are used up
         while stack:
             frame = stack[-1]
-            v, c, bound, below = frame
-            row = seen[v]
-            while c < bound and row[c]:
+            v, c, bound, below, trail = frame
+            if trail:  # take v's last color back from the neighbours it reached
+                bit = 1 << colors[v]
+                for w in trail:
+                    mask[w] ^= bit
+                    sat[w] -= 1
+                    heappush(heap, (-sat[w], negdeg[w], w))
+                trail.clear()
+            m = mask[v]
+            while c < bound and m >> c & 1:
                 c += 1
             if c < bound:
                 frame[1] = c + 1
-                recolor(v, c)
+                colors[v] = c
+                bit = 1 << c
+                for w in nbrs[v]:
+                    if colors[w] < 0 and not mask[w] & bit:
+                        mask[w] |= bit
+                        sat[w] += 1
+                        heappush(heap, (-sat[w], negdeg[w], w))
+                        trail.append(w)
                 highest = max(below, c)
                 break
             stack.pop()
-            recolor(v, -1)
+            colors[v] = -1
+            heappush(heap, (-sat[v], negdeg[v], v))
             highest = below
         else:
             return None

@@ -209,3 +209,11 @@ def test_filtered_miss_ticks_no_node():
     for name in ("K7", "H7+K2", "C11^3"):
         assert find_subgraph(k6, name, Budget(nodes=0)) is None
     assert find_subgraph(pattern_graph("C3+C5"), "K7", Budget(nodes=0)) is None
+
+
+def test_support_cut_refutes_cliques_before_any_node():
+    # no edge of the critical graphs lies in four triangles once the edges
+    # in fewer are gone, so neither K6 nor K7 is searched in them
+    for name in ("C3+C5", "H7+K2", "C11^3"):
+        for clique in ("K6", "K7"):
+            assert find_subgraph(pattern_graph(name), clique, Budget(nodes=0)) is None

@@ -71,6 +71,9 @@ def test_solve_disk_pins_exactly_the_boundary():
         solve_disk(disk, pos, (0, 1, 0, 1, 2))
     with pytest.raises(ValueError):  # an edge pinned twice
         solve_disk(disk, (*pos, pos[0]), (0, 1, 0, 1, 1))
+    for colors in ((0, 1, 0, 3), (3, 3, 0, 0), (0, 1, None, 1), (-1, 0, 0, 1)):
+        with pytest.raises(ValueError):  # a color outside 0, 1, 2
+            solve_disk(disk, pos, colors)
 
 
 def test_square_kinds_read_exactly_a_square_boundary():

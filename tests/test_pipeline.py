@@ -63,7 +63,7 @@ from grunbaum.pipeline import (
 )
 from grunbaum import chroma, pipeline
 from grunbaum.coloring import EdgeColoring
-from grunbaum.fileio import write_embedding
+from grunbaum.fileio import read_embedding, write_embedding
 from grunbaum.solver import Budget, color_vertices_k, four_color_vertices, solve_exact
 
 DISPATCH_PATTERNS = ("K7", *CRITICAL_PATTERNS)
@@ -270,6 +270,33 @@ def test_solve_torus_methods():
         assert report.method == method
         graph = getattr(emb, "embedding", emb)
         assert verify_grunbaum(graph, report.coloring).ok
+
+
+# H7+K2 with the chord (2, 8) across its quadrilateral face: the frame is
+# matched on the pattern's edges, so the chord does not split that face
+H7K2_WITH_A_CHORD = """\
+vertices: 9
+0: 1 3 8 6 7
+1: 2 4 3 0 7
+2: 3 5 4 1 7 8
+3: 4 7 6 5 2 8 0 1
+4: 5 7 3 1 2
+5: 6 8 7 4 2 3
+6: 7 0 8 5 3
+7: 8 2 1 0 6 3 4 5
+8: 0 3 2 7 5 6
+"""
+
+
+def test_frame_with_a_chord_across_its_face_is_matched(tmp_path):
+    emb = read_embedding(io.StringIO(H7K2_WITH_A_CHORD))
+    report = solve(emb)
+    assert report.found and report.method == "CRITICAL(H7K2)", report.trace
+    assert verify_grunbaum(emb, report.coloring).ok
+    path = tmp_path / "h7k2_chord.emb"
+    path.write_text(H7K2_WITH_A_CHORD)
+    with redirect_stdout(io.StringIO()):
+        assert main(["solve", str(path)]) == 0
 
 
 def test_solve_torus_hexagon_route():

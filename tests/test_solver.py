@@ -11,6 +11,7 @@ from grunbaum.catalog import (
     gen_altshuler,
     gen_named,
     random_refinement,
+    triangulate_faces,
 )
 from grunbaum.coloring import EdgeColoring, PartialColoring, verify_grunbaum, verify_partial
 from grunbaum.embedding import build_embedding, trace_faces
@@ -19,6 +20,7 @@ from grunbaum.solver import (
     FOUND,
     Budget,
     SolveReport,
+    _greedy_clique,
     color_faces,
     color_vertices_k,
     count_grunbaum_colorings,
@@ -336,6 +338,106 @@ def test_budget_propagates_from_vertex_coloring():
     big = gen_named("icosahedron").adjacency()
     with pytest.raises(BudgetExceeded):
         color_vertices_k(big, 4, budget=Budget(nodes=2))
+
+
+def reference_dsatur(adj, k, pins=None):
+    """color_vertices_k's search without its incremental state: the next
+    vertex by a linear scan of the uncolored core vertices, its saturation
+    counted afresh from its neighbours' colors; the same key, color order,
+    symmetry bound, clique pins and ticks.  Returns (colors or None, nodes)."""
+    pins = dict(pins or {})
+    if any(not 0 <= c < k or any(pins.get(w) == c for w in adj[v])
+           for v, c in pins.items()):
+        return None, 0
+    clique = [] if pins else _greedy_clique(adj, k)
+    if len(clique) > k:
+        return None, 0
+    peeled = peel_order(adj, k, pins)
+    core = [v for v in range(len(adj)) if v not in set(peeled)]
+    pins = pins or dict(zip((v for v in clique if v in core), range(k)))
+    colors = [pins.get(v) for v in range(len(adj))]
+
+    def saturation(v):
+        return len({colors[w] for w in adj[v]} - {None})
+
+    nodes = 0
+    stack = []  # [vertex, next color, bound, highest color before it]
+    highest = max(pins.values(), default=-1)
+    while True:
+        nodes += 1
+        free = [v for v in core if colors[v] is None]
+        if not free:
+            break
+        v = min(free, key=lambda v: (-saturation(v), -len(adj[v]), v))
+        if saturation(v) < k:
+            stack.append([v, 0, min(k, highest + 2), highest])
+        while stack:
+            v, c, bound, below = stack[-1]
+            used = {colors[w] for w in adj[v]}
+            c = next((c for c in range(c, bound) if c not in used), None)
+            if c is not None:
+                stack[-1][1] = c + 1
+                colors[v] = c
+                highest = max(below, c)
+                break
+            stack.pop()
+            colors[v] = None
+            highest = below
+        else:
+            return None, nodes
+    for v in reversed(peeled):
+        nodes += 1
+        colors[v] = min(set(range(k)) - {colors[w] for w in adj[v]})
+    return colors, nodes
+
+
+def random_proper_pins(rng, adj, k):
+    """Pins on a few random vertices, each a color no pinned neighbour has."""
+    pins = {}
+    for v in rng.sample(range(len(adj)), rng.randint(1, min(4, len(adj)))):
+        free = sorted(set(range(k)) - {pins.get(w) for w in adj[v]})
+        if free:
+            pins[v] = rng.choice(free)
+    return pins
+
+
+def test_kernel_is_the_reference_search():
+    rng = random.Random(21)
+    found = refuted = backtracked = 0
+    for _ in range(120):
+        n = rng.randint(8, 24)
+        adj = random_graph(rng, n) if rng.random() < 0.5 else \
+            random_graph_with_low_degrees(rng, n, rng.randint(3, 5))
+        for k in (3, 4, 5):
+            for pins in (None, random_proper_pins(rng, adj, k)):
+                budget = Budget()
+                colors = color_vertices_k(adj, k, budget, pins)
+                want, nodes = reference_dsatur(adj, k, pins)
+                assert (colors, budget.used_nodes) == (want, nodes), (adj, k, pins)
+                found += colors is not None
+                refuted += colors is None and nodes > 0
+                backtracked += nodes > n + 1
+    assert found and refuted and backtracked
+
+
+def test_clique_of_more_than_k_refutes_before_any_node():
+    k6_host = random_refinement(triangulate_faces(catalog_embedding("k6-54")), 15, seed=3)
+    k7_host = random_refinement(gen_named("K7"), 15, seed=3)
+    for adj, k in ((k6_host.adjacency(), 5), (k7_host.adjacency(), 5),
+                   (k7_host.adjacency(), 6)):
+        assert len(_greedy_clique(adj, k)) == k + 1
+        assert color_vertices_k(adj, k, Budget(nodes=0)) is None
+
+
+def test_greedy_clique_stops_once_it_reaches_k():
+    # a K4 of degree-5 vertices (two leaves each) and a K5 of degree-4
+    # ones: with k = 3 the first start decides, and the K5 of a later start
+    # is not sought
+    adj = [set(range(4)) - {v} | {9 + 2 * v, 10 + 2 * v} for v in range(4)] + \
+        [set(range(4, 9)) - {v} for v in range(4, 9)] + [{(v - 9) // 2} for v in range(9, 17)]
+    assert sorted(_greedy_clique(adj)) == [4, 5, 6, 7, 8]
+    assert len(_greedy_clique(adj, 3)) == 4
+    assert sorted(_greedy_clique(adj, 5)) == [4, 5, 6, 7, 8]
 
 
 # -- edge coloring through the triangle graph -------------------------------------------
