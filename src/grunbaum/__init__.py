@@ -69,8 +69,6 @@ from .pipeline import (
     extend_into_faces,
     solve,
     solve_disk,
-    solve_planar,
-    solve_torus,
 )
 
 __version__ = "0.1.0"

@@ -64,24 +64,20 @@ def _try_anchor(
 
 
 def embedding_isomorphisms(e1: Embedding, e2: Embedding) -> Iterator[list[int]]:
-    """Yield a vertex map once for every rooted match found,
-    orientation-preserving maps first."""
+    """Yield the vertex map of every rooted match, orientation-preserving
+    maps first.  Each anchor dart pins another image of dart 0's ends, so
+    no map is yielded twice for one orientation."""
     if (
         e1.num_vertices != e2.num_vertices
         or e1.num_edges != e2.num_edges
         or sorted(map(len, e1.rotations)) != sorted(map(len, e2.rotations))
     ):
         return
-    d1 = 0
-    seen = set()
     for reverse in (False, True):
         for d2 in range(e2.num_darts):
-            vmap = _try_anchor(e1, e2, d1, d2, reverse)
+            vmap = _try_anchor(e1, e2, 0, d2, reverse)
             if vmap is not None:
-                key = (tuple(vmap), reverse)
-                if key not in seen:
-                    seen.add(key)
-                    yield vmap
+                yield vmap
 
 
 def embeddings_isomorphic(e1: Embedding, e2: Embedding) -> bool:

@@ -1,10 +1,11 @@
 """End-to-end production of face-proper edge 3-colorings.
 
-The torus dispatch mirrors the structure theory it implements: grids are
-colored by their edge roles; 4-colorable graphs lift a vertex coloring;
-hosts of K7 or of one of the four critical six-chromatic graphs are colored
-by coloring the embedded subgraph compatibly with the triangulated disks in
-its non-triangular faces and extending into the triangular ones; everything
+The dispatch mirrors the structure theory it implements: grids are colored
+by their edge roles; 4-colorable graphs, every sphere among them, lift a
+vertex coloring; hosts of K7 or of one of the four critical six-chromatic
+graphs are colored by coloring the embedded subgraph compatibly with the
+triangulated disks in its non-triangular faces and extending into the
+triangular ones; everything
 else (the open five-chromatic territory) falls back to exhaustive search,
 reported honestly as FOUND or UNKNOWN, never as a theory claim.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import wraps
 from typing import Sequence
 
 from . import catalog as cat
@@ -80,9 +80,6 @@ def altshuler_coloring(grid) -> EdgeColoring:
     return coloring
 
 
-# -- planar pipeline -----------------------------------------------------------------
-
-
 def recognize_grid_coloring(emb: Embedding) -> tuple[EdgeColoring, str] | None:
     """Try to match a six-regular embedding with a generated grid.
 
@@ -111,53 +108,6 @@ def recognize_grid_coloring(emb: Embedding) -> tuple[EdgeColoring, str] | None:
             if verify_grunbaum(emb, coloring).ok:
                 return coloring, f"T({rows},{cols},{twist})"
     return None
-
-
-def _timed(entry):
-    """Stamp the entry point's wall time on the report it returns as ``millis``."""
-    @wraps(entry)
-    def timed(*args, **kwargs) -> SolveReport:
-        started = time.perf_counter()
-        report = entry(*args, **kwargs)
-        report.millis = 1000 * (time.perf_counter() - started)
-        return report
-    return timed
-
-
-@_timed
-def solve_planar(emb: Embedding, budget: Budget | None = None) -> SolveReport:
-    """Four-color the vertices, then lift to the edges."""
-    if genus(emb) != 0:
-        raise ValueError("solve_planar expects a genus-0 embedding")
-    if not is_triangulation(emb):
-        raise NotTriangulation("solve_planar expects a triangulation")
-    budget = budget or Budget()
-    try:
-        vc = four_color_vertices(emb.adjacency(), budget=budget)
-    except BudgetExceeded as exc:
-        return SolveReport(UNKNOWN, method="4-coloring", trace=(f"4-coloring: {exc}",),
-                           nodes=budget.used_nodes)
-    if vc is None:  # impossible for planar inputs; kept for honesty
-        return SolveReport(UNSAT, trace=("chromatic number exceeds four",))
-    return _verified_report(emb, tait_lift(emb, vc), "TAIT", [], budget, "tait lift")
-
-
-def _verified_report(
-    emb: Embedding,
-    coloring: EdgeColoring,
-    method: str,
-    trace: list[str],
-    budget: Budget,
-    stage: str,
-) -> SolveReport:
-    """FOUND only once the coloring passes verification; otherwise UNKNOWN,
-    named after the stage that built the coloring."""
-    if not verify_grunbaum(emb, coloring).ok:
-        return SolveReport(UNKNOWN, method=stage,
-                           trace=(*trace, f"{stage}: coloring failed verification"),
-                           nodes=budget.used_nodes)
-    return SolveReport(FOUND, coloring, method=method, trace=tuple(trace),
-                       nodes=budget.used_nodes)
 
 
 # -- disks ---------------------------------------------------------------------------
@@ -575,6 +525,24 @@ def extend_into_faces(
     return coloring
 
 
+def _verified_report(
+    emb: Embedding,
+    coloring: EdgeColoring,
+    method: str,
+    trace: list[str],
+    budget: Budget,
+    stage: str,
+) -> SolveReport:
+    """FOUND only once the coloring passes verification; otherwise UNKNOWN,
+    named after the stage that built the coloring."""
+    if not verify_grunbaum(emb, coloring).ok:
+        return SolveReport(UNKNOWN, method=stage,
+                           trace=(*trace, f"{stage}: coloring failed verification"),
+                           nodes=budget.used_nodes)
+    return SolveReport(FOUND, coloring, method=method, trace=tuple(trace),
+                       nodes=budget.used_nodes)
+
+
 def _finish(
     host: Embedding,
     frame: Frame,
@@ -819,15 +787,19 @@ _ROUTES = {
 }
 
 
-@_timed
-def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
-    """Produce a coloring of a torus triangulation, or report UNKNOWN.
+def solve(emb, budget: Budget | None = None) -> SolveReport:
+    """Produce a coloring of a sphere or torus triangulation, or report
+    UNKNOWN.
 
-    Dispatch: labeled grids are colored by role; 4-colorable inputs via the
-    vertex-coloring lift; hosts of K7 via the grid coloring of K7 plus
-    extension; hosts of a critical six-chromatic graph via its case
-    machinery.  What remains is five-chromatic and goes to exhaustive
-    search, which cannot claim anything beyond what it finds.
+    Dispatch: labeled grids are colored by role.  Any other input must be
+    a triangulation of genus 0 or 1, and a torus is first recognized as a
+    grid if it is one.  Then every input tries the vertex-coloring lift,
+    which colors every sphere; a sphere it fails is reported UNSAT, which
+    the four color theorem rules out.  A torus goes on: hosts of K7 via
+    the grid coloring of K7 plus extension; hosts of a critical
+    six-chromatic graph via its case machinery.  What remains is
+    five-chromatic and goes to exhaustive search, which cannot claim
+    anything beyond what it finds.
 
     After a failed 4-coloring, one 5-coloring gates the subgraph search.  K7
     and the four critical graphs are six-chromatic, so a 5-colorable host
@@ -838,71 +810,58 @@ def solve_torus(emb, budget: Budget | None = None) -> SolveReport:
 
     Every sub-search spends the one budget.  When it runs out, the report is
     UNKNOWN, and its method and last trace entry name the stage: 4-coloring,
-    subgraph search, the route's method (e.g. K7) or exact search.
+    subgraph search, the route's method (e.g. K7) or exact search.  The
+    report's ``millis`` is the whole solve's wall time.
     """
+    started = time.perf_counter()
     budget = budget or Budget()
     trace: list[str] = []
-
-    if isinstance(emb, cat.GridTriangulation):
-        coloring = altshuler_coloring(emb)
-        return SolveReport(FOUND, coloring, method="ALTSHULER", trace=("grid roles",))
-
-    if genus(emb) != 1:
-        raise ValueError("solve_torus expects a genus-1 embedding")
-    if not is_triangulation(emb):
-        raise NotTriangulation("solve_torus expects a triangulation")
-
-    recognized = recognize_grid_coloring(emb)
-    if recognized is not None:
-        coloring, grid_name = recognized
-        return SolveReport(FOUND, coloring, method="ALTSHULER",
-                           trace=(f"recognized {grid_name}",))
-
-    adj = emb.adjacency()
     stage = "4-coloring"
-    try:
-        vc = four_color_vertices(adj, budget=budget)
-        if vc is not None:
-            return _verified_report(emb, tait_lift(emb, vc), "TAIT", trace, budget,
-                                    "tait lift")
-        trace.append("not 4-colorable")
-
-        stage = "subgraph search"
-        if color_vertices_k(adj, 5, budget=budget) is None:
-            match = dispatch_match(five_core(adj), budget)
-            trace.append("contains K7" if match.pattern == "K7"
-                         else f"critical subgraph {match.pattern}")
-            frame = match_frame(emb, match.pattern, match.mapping)
-            if match.pattern == "K6":
-                trace.append(f"embedding variant {frame.name}")
-            stage, route = _ROUTES[frame.name]
-            return route(emb, frame, budget, trace, stage)
-
-        # five-chromatic territory: search, and say so
-        trace.append("no critical subgraph: five-chromatic, exhaustive search")
-        stage = "exact search"
-        coloring = color_faces(emb, budget)
-    except BudgetExceeded as exc:
-        return SolveReport(UNKNOWN, method=stage, trace=(*trace, f"{stage}: {exc}"),
-                           nodes=budget.used_nodes)
-    if coloring is None:
-        return SolveReport(UNSAT, method="EXACT", trace=tuple(trace),
-                           nodes=budget.used_nodes)
-    return _verified_report(emb, coloring, "EXACT", trace, budget, "exact search")
-
-
-@_timed
-def solve(emb, budget: Budget | None = None) -> SolveReport:
-    """Dispatch on genus: sphere and torus triangulations are supported.
-
-    The report's ``millis`` is the whole solve's wall time, as it is for
-    ``solve_planar`` and ``solve_torus`` called directly.
-    """
-    g = 1 if isinstance(emb, cat.GridTriangulation) else genus(emb)
-    if g == 0:
-        report = solve_planar(emb, budget=budget)
-    elif g == 1:
-        report = solve_torus(emb, budget)
-    else:
+    if isinstance(emb, cat.GridTriangulation):
+        report = SolveReport(FOUND, altshuler_coloring(emb), method="ALTSHULER",
+                             trace=("grid roles",))
+    elif (g := genus(emb)) > 1:
         raise ValueError(f"genus {g} is out of scope; only sphere and torus are handled")
+    elif not is_triangulation(emb):
+        raise NotTriangulation("solve expects a triangulation")
+    elif g == 1 and (recognized := recognize_grid_coloring(emb)) is not None:
+        coloring, grid_name = recognized
+        report = SolveReport(FOUND, coloring, method="ALTSHULER",
+                             trace=(f"recognized {grid_name}",))
+    else:
+        adj = emb.adjacency()
+        try:
+            vc = four_color_vertices(adj, budget=budget)
+            if vc is not None:
+                report = _verified_report(emb, tait_lift(emb, vc), "TAIT", trace, budget,
+                                          "tait lift")
+            elif g == 0:
+                report = SolveReport(UNSAT, trace=("chromatic number exceeds four",))
+            else:
+                trace.append("not 4-colorable")
+                stage = "subgraph search"
+                if color_vertices_k(adj, 5, budget=budget) is None:
+                    match = dispatch_match(five_core(adj), budget)
+                    trace.append("contains K7" if match.pattern == "K7"
+                                 else f"critical subgraph {match.pattern}")
+                    frame = match_frame(emb, match.pattern, match.mapping)
+                    if match.pattern == "K6":
+                        trace.append(f"embedding variant {frame.name}")
+                    stage, route = _ROUTES[frame.name]
+                    report = route(emb, frame, budget, trace, stage)
+                else:
+                    # five-chromatic territory: search, and say so
+                    trace.append("no critical subgraph: five-chromatic, exhaustive search")
+                    stage = "exact search"
+                    coloring = color_faces(emb, budget)
+                    if coloring is None:
+                        report = SolveReport(UNSAT, method="EXACT", trace=tuple(trace),
+                                             nodes=budget.used_nodes)
+                    else:
+                        report = _verified_report(emb, coloring, "EXACT", trace, budget,
+                                                  "exact search")
+        except BudgetExceeded as exc:
+            report = SolveReport(UNKNOWN, method=stage, trace=(*trace, f"{stage}: {exc}"),
+                                 nodes=budget.used_nodes)
+    report.millis = 1000 * (time.perf_counter() - started)
     return report

@@ -54,6 +54,10 @@ class Budget:
     used_nodes: int = 0
     started: float = field(default_factory=time.monotonic)
 
+    def __post_init__(self):
+        if self.nodes < 0:
+            raise ValueError(f"node budget must not be negative, not {self.nodes}")
+
     def tick(self):
         if self.used_nodes >= self.nodes:
             raise BudgetExceeded(f"node budget {self.nodes} exhausted")

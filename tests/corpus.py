@@ -5,6 +5,7 @@ Building is cached per process; everything derives from fixed seeds.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -230,3 +231,77 @@ def planar_corpus() -> tuple[Instance, ...]:
     for inst in out:
         assert genus(inst.graph) == 0 and is_triangulation(inst.graph)
     return tuple(out)
+
+
+def _rotation_code(rotations, start: int, first: int, step: int) -> tuple[int, ...]:
+    """The rotations relabeled in BFS order from the dart start -> first,
+    each given as its degree, then its neighbours read from the
+    lowest-labeled one in direction ``step``."""
+    label = {start: 0, first: 1}
+    order = [start, first]
+    code: list[int] = []
+    for v in order:
+        rot = rotations[v]
+        i = rot.index(min((w for w in rot if w in label), key=label.get))
+        code.append(len(rot))
+        for k in range(len(rot)):
+            w = rot[(i + step * k) % len(rot)]
+            if w not in label:
+                label[w] = len(order)
+                order.append(w)
+            code.append(label[w])
+    return tuple(code)
+
+
+def _canonical(rotations) -> tuple[int, ...]:
+    """The least rotation code over every dart at a vertex of maximum
+    degree, in both orientations; equal exactly for isomorphic or mirrored
+    embeddings."""
+    top = max(map(len, rotations))
+    return min(_rotation_code(rotations, v, w, step)
+               for v, rot in enumerate(rotations) if len(rot) == top
+               for w in rot for step in (1, -1))
+
+
+def _flip(rotations, u: int, v: int):
+    """The rotations with edge uv flipped to the other diagonal wx of its two
+    triangles, or None when wx is already an edge."""
+    ru = rotations[u]
+    i = ru.index(v)
+    w, x = ru[i - 1], ru[(i + 1) % len(ru)]
+    if x in rotations[w]:
+        return None
+    out = [list(r) for r in rotations]
+    out[u].remove(v)
+    out[v].remove(u)
+    for a, b in ((w, x), (x, w)):
+        ra = out[a]
+        j = next(j for j in range(len(ra)) if {ra[j - 1], ra[j]} == {u, v})
+        ra.insert(j, b)
+    return tuple(map(tuple, out))
+
+
+@lru_cache(maxsize=None)
+def torus_census(n: int) -> tuple[Embedding, ...]:
+    """Every triangulation of the torus with n vertices, once up to
+    isomorphism and mirror image: a breadth-first search over diagonal
+    flips from the grid T(1, n, 2), which reaches them all (Dewdney 1973)."""
+    start = gen_altshuler(1, n, 2).embedding.rotations
+    seen = {_canonical(start)}
+    found = [start]
+    queue = deque(found)
+    while queue:
+        rotations = queue.popleft()
+        for u, rot in enumerate(rotations):
+            for v in rot:
+                if u > v:
+                    continue
+                flipped = _flip(rotations, u, v)
+                if flipped is None:
+                    continue
+                key = _canonical(flipped)
+                if key not in seen:
+                    seen.add(key)
+                    found.append(flipped)
+                    queue.append(flipped)
+    return tuple(Embedding(r) for r in found)

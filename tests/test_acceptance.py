@@ -65,8 +65,7 @@ from grunbaum.pipeline import (
     apply_case_table,
     reduce_hexagon_disk,
     reduce_pentagon_disk,
-    solve_planar,
-    solve_torus,
+    solve,
     square_disk_type,
 )
 from grunbaum.solver import Budget, solve_exact
@@ -129,12 +128,12 @@ def test_criterion_2_oracle_equivalence(capsys):
     toroidal += [i for i in five_chromatic_instances()
                  if i.graph.num_vertices <= 12]
     for inst in planar:
-        a = solve_planar(inst.graph).found
+        a = solve(inst.graph).found
         b = solve_exact(inst.graph, budget=Budget(seconds=120)).found
         if a != b:
             failures.append((inst.name, a, b))
     for inst in toroidal:
-        a = solve_torus(inst.graph).found
+        a = solve(inst.graph).found
         b = solve_exact(inst.graph, budget=Budget(seconds=120)).found
         if a != b:
             failures.append((inst.name, a, b))

@@ -12,7 +12,7 @@ from grunbaum.catalog import (
     triangulate_faces,
 )
 from grunbaum.fileio import read_coloring, read_embedding, write_embedding
-from grunbaum.pipeline import solve, solve_planar, solve_torus
+from grunbaum.pipeline import solve
 
 
 @pytest.fixture
@@ -98,7 +98,6 @@ def test_solve_reports_its_wall_time(method, host, tmp_path, capsys):
     emb = host()
     report = solve(emb)
     assert report.method == method and report.millis > 0
-    assert solve_torus(emb).millis > 0
     path = tmp_path / "host.emb"
     write_embedding(emb, path)
     assert main(["--json", "solve", str(path)]) == 0
@@ -107,7 +106,7 @@ def test_solve_reports_its_wall_time(method, host, tmp_path, capsys):
 
 
 def test_solve_planar_reports_its_wall_time():
-    assert solve_planar(gen_named("octahedron")).millis > 0
+    assert solve(gen_named("octahedron")).millis > 0
 
 
 def test_verify_bad_coloring_exits_1(tmp_path):
@@ -289,3 +288,16 @@ def test_chromatic_exhausted_budget_is_unknown(capsys, ico_file):
     assert doc["chromatic_number"] is None and doc["at_least"] == 3
     assert main(["chromatic", ico_file]) == 0
     assert capsys.readouterr().out.strip() == "4"
+
+
+@pytest.mark.parametrize("command", ["solve", "chromatic"])
+def test_negative_budget_is_an_input_error(command, capsys, ico_file, monkeypatch):
+    assert main(["--budget", "-5", command, ico_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error")
+    monkeypatch.setenv("GRUNBAUM_BUDGET", "-1")
+    assert main([command, ico_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error")
+    monkeypatch.setenv("GRUNBAUM_BUDGET", "0")
+    assert main([command, ico_file]) == 1

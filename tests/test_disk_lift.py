@@ -22,7 +22,6 @@ from grunbaum.pipeline import (
     apex_solve,
     solve,
     solve_disk,
-    solve_planar,
 )
 from grunbaum.solver import Budget, solve_exact
 
@@ -95,7 +94,7 @@ def test_apex_solve_is_the_capped_sphere_solve(boundary):
         ours, theirs = Budget(), Budget()
         got = apex_solve(disk.embedding, disk.as_region(), ours)
         capped = cap_with_apex(disk)
-        sphere = solve_planar(capped, theirs).coloring
+        sphere = solve(capped, theirs).coloring
         assert got.colors == tuple(sphere[capped.edge_id(u, v)]
                                    for u, v in disk.embedding.edges)
         assert ours.used_nodes == theirs.used_nodes

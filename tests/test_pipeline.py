@@ -23,7 +23,7 @@ from grunbaum.catalog import (
     random_refinement,
     triangulate_faces,
 )
-from grunbaum.chroma import CRITICAL_PATTERNS, find_subgraph, five_core
+from grunbaum.chroma import CRITICAL_PATTERNS, chromatic_number, find_subgraph, five_core
 from grunbaum.coloring import (
     classify_pentagon,
     classify_square,
@@ -57,14 +57,14 @@ from grunbaum.pipeline import (
     recognize_grid_coloring,
     solve,
     solve_disk,
-    solve_planar,
-    solve_torus,
     square_disk_type,
 )
 from grunbaum import chroma, pipeline
 from grunbaum.coloring import EdgeColoring
 from grunbaum.fileio import read_embedding, write_embedding
 from grunbaum.solver import Budget, color_vertices_k, four_color_vertices, solve_exact
+
+from corpus import torus_census
 
 DISPATCH_PATTERNS = ("K7", *CRITICAL_PATTERNS)
 K4 = build_embedding([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
@@ -103,11 +103,11 @@ def _hexagon_hosts():
 def test_solve_planar_routes():
     for name in ("octahedron", "icosahedron"):
         emb = gen_named(name)
-        report = solve_planar(emb)
+        report = solve(emb)
         assert report.found and report.method == "TAIT"
         assert verify_grunbaum(emb, report.coloring).ok
     st = random_refinement(K4, 9, seed=0)
-    report = solve_planar(st)
+    report = solve(st)
     assert report.found and verify_grunbaum(st, report.coloring).ok
 
 
@@ -164,14 +164,14 @@ def test_apex_solve_parity():
 
 def test_extend_identity_when_no_refinement():
     emb = gen_named("octahedron")
-    coloring = solve_planar(emb).coloring
+    coloring = solve(emb).coloring
     out = extend_into_faces(emb, coloring, emb)
     assert out.colors == coloring.colors
 
 
 def test_extend_single_stellation_forces_opposite_colors():
     emb = gen_named("octahedron")
-    coloring = solve_planar(emb).coloring
+    coloring = solve(emb).coloring
     refined = stellate_face(emb, 0)
     out = extend_into_faces(emb, coloring, refined)
     assert verify_grunbaum(refined, out).ok
@@ -197,7 +197,7 @@ def test_extend_k7_random_refinement():
 
 def test_extend_rejects_non_refinement():
     emb = gen_named("octahedron")
-    coloring = solve_planar(emb).coloring
+    coloring = solve(emb).coloring
     with pytest.raises(NotARefinement):
         extend_into_faces(emb, coloring, gen_named("icosahedron"))
 
@@ -206,7 +206,7 @@ def test_extend_into_mirrored_refinements():
     # a refinement drawn as the host's mirror image traces every host face
     # the other way round; each probe must come out colored and verified
     emb = gen_named("octahedron")
-    coloring = solve_planar(emb).coloring
+    coloring = solve(emb).coloring
     for k in range(4):
         for seed in range(4):
             refined = build_embedding(
@@ -221,7 +221,7 @@ def test_extend_into_mirrored_refinements():
 def test_extend_rejects_reordered_host_rotation():
     # swapping two host neighbours in one rotation changes the host's faces
     emb = gen_named("octahedron")
-    coloring = solve_planar(emb).coloring
+    coloring = solve(emb).coloring
     rotations = [list(r) for r in random_refinement(emb, 3, seed=1).rotations]
     for v in range(emb.num_vertices):
         rot = [list(r) for r in rotations]
@@ -265,7 +265,7 @@ def test_solve_torus_methods():
          "CRITICAL(C3C5)"),
     ]
     for emb, method in cases:
-        report = solve_torus(emb)
+        report = solve(emb)
         assert report.found, (method, report.trace)
         assert report.method == method
         graph = getattr(emb, "embedding", emb)
@@ -299,9 +299,26 @@ def test_frame_with_a_chord_across_its_face_is_matched(tmp_path):
         assert main(["solve", str(path)]) == 0
 
 
+# torus triangulations up to isomorphism and mirror image (Lutz's census)
+@pytest.mark.parametrize("n, count", [(7, 1), (8, 7), (9, 112)])
+def test_every_small_torus_triangulation_is_colored(n, count):
+    census = torus_census(n)
+    assert len(census) == count
+    for emb in census:
+        report = solve(emb)
+        assert report.found and verify_grunbaum(emb, report.coloring).ok, report.trace
+        # the route follows the chromatic number: six-regular tori are grids
+        if all(emb.degree(v) == 6 for v in range(n)):
+            route = "ALTSHULER"
+        else:
+            chi = chromatic_number(emb.adjacency())
+            route = "TAIT" if chi <= 4 else {5: "EXACT", 6: "CRITICAL", 7: "K7"}[chi]
+        assert report.method.split("(")[0] == route, (emb.rotations, report.method)
+
+
 def test_solve_torus_hexagon_route():
     for g in _hexagon_hosts():
-        report = solve_torus(g)
+        report = solve(g)
         assert report.found and report.method == "CRITICAL(6)"
         assert verify_grunbaum(g, report.coloring).ok
 
@@ -313,7 +330,7 @@ def test_solve_dispatches_on_genus():
 
 def test_five_chromatic_goes_exact():
     g = random_refinement(gen_altshuler(3, 3, 1).embedding, 2, seed=0)
-    report = solve_torus(g)
+    report = solve(g)
     assert report.found and report.method == "EXACT"
     assert verify_grunbaum(g, report.coloring).ok
 
@@ -337,7 +354,7 @@ def test_failed_lift_is_not_reported_found(monkeypatch):
     monkeypatch.setattr(pipeline, "tait_lift", bad_lift)
     sphere = gen_named("octahedron")
     torus = random_refinement(gen_altshuler(3, 6, 0).embedding, 1, seed=0)
-    for report in (solve_planar(sphere), solve_torus(torus)):
+    for report in (solve(sphere), solve(torus)):
         assert report.status == "UNKNOWN" and report.coloring is None
         assert any("tait lift" in t for t in report.trace)
 
@@ -597,7 +614,7 @@ def test_failed_extension_is_not_reported_found(monkeypatch):
     k7 = gen_named("K7")
     with pytest.raises(VerificationFailed):
         extend_into_faces(k7, solve_exact(k7).coloring, random_refinement(k7, 9, seed=4))
-    report = solve_torus(_route_host("k6-6"))
+    report = solve(_route_host("k6-6"))
     assert _unknown_stage(report) == ("K7", "coloring failed verification")
 
 
@@ -645,7 +662,7 @@ def test_failed_exact_coloring_is_not_reported_found(monkeypatch):
         return coloring.recolored({0: (coloring[0] + 1) % 3})
 
     monkeypatch.setattr(pipeline, "color_faces", bad_color_faces)
-    report = solve_torus(ROUTE_HOSTS["EXACT"]())
+    report = solve(ROUTE_HOSTS["EXACT"]())
     assert _unknown_stage(report) == ("exact search", "coloring failed verification")
 
 
@@ -705,7 +722,7 @@ def test_gated_host_runs_no_subgraph_search(monkeypatch):
         raise AssertionError("find_subgraph called on a 5-colorable host")
 
     monkeypatch.setattr(chroma, "find_subgraph", no_search)
-    report = solve_torus(ROUTE_HOSTS["EXACT"]())
+    report = solve(ROUTE_HOSTS["EXACT"]())
     assert report.found and report.method == "EXACT"
     assert report.trace[-1] == "no critical subgraph: five-chromatic, exhaustive search"
 
@@ -716,7 +733,7 @@ def test_miss_after_failed_five_coloring_is_an_anomaly(monkeypatch):
     host = ROUTE_HOSTS["CRITICAL(H7K2)"]()
     monkeypatch.setattr(chroma, "find_subgraph", lambda *args, **kwargs: None)
     with pytest.raises(ClassificationAnomaly):
-        solve_torus(host)
+        solve(host)
 
 
 def test_gate_runs_out_as_subgraph_search():

@@ -13,7 +13,8 @@ colorings.  Wall times are left out.
 
 The input sets are each benchmark workload (built by ``bench/workloads.py``)
 at every seed given, then the toroidal, planar and five-chromatic instances
-of ``tests/corpus.py``.  A workload input is parsed from the same ``.emb``
+of ``tests/corpus.py`` and its census of every torus triangulation with 7,
+8 or 9 vertices.  A workload input is parsed from the same ``.emb``
 text the benchmark hands the program.
 
     python3 tools/solve_digest.py              # seeds 1 and 1009
@@ -38,9 +39,10 @@ import workloads  # noqa: E402
 from grunbaum.pipeline import solve  # noqa: E402
 
 CORPUS_SETS = {
-    "corpus-toroidal": corpus.toroidal_corpus,
-    "corpus-planar": corpus.planar_corpus,
-    "corpus-five-chromatic": corpus.five_chromatic_instances,
+    "corpus-toroidal": lambda: [i.embedding for i in corpus.toroidal_corpus()],
+    "corpus-planar": lambda: [i.embedding for i in corpus.planar_corpus()],
+    "corpus-five-chromatic": lambda: [i.embedding for i in corpus.five_chromatic_instances()],
+    "corpus-torus-census": lambda: [e for n in (7, 8, 9) for e in corpus.torus_census(n)],
 }
 
 
@@ -81,8 +83,8 @@ def main(argv=None) -> int:
             lines = [outcome(grunbaum.fileio.read_embedding(io.StringIO(inp.text)))
                      for inp in inputs]
             print(summary(f"{name} seed={seed}", lines), flush=True)
-    for name, instances in CORPUS_SETS.items():
-        lines = [outcome(inst.embedding) for inst in instances()]
+    for name, embeddings in CORPUS_SETS.items():
+        lines = [outcome(emb) for emb in embeddings()]
         print(summary(name, lines), flush=True)
     return 0
 
