@@ -261,8 +261,10 @@ def random_refinement(emb: Embedding, steps: int, seed: int = 0) -> Embedding:
     darts.  A new vertex outranks every old one, so the three triangles it
     makes start at the stellated face's darts and no other face changes: the
     sorted list and the rotations are edited in place, and one embedding is
-    built at the end.
+    built at the end.  A negative ``steps`` raises ValueError.
     """
+    if steps < 0:
+        raise ValueError(f"refinement steps must be at least 0, not {steps}")
     rng = random.Random(seed)
     fs = trace_faces(emb)
     walks = (fs.face_vertices(emb, f) for f in range(fs.num_faces) if fs.size(f) == 3)

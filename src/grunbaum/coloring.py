@@ -365,32 +365,17 @@ HEXAGON_CLASSES = (
 class HexagonClass:
     """Dihedral-and-recoloring class of a colored 6-cycle, with a witness.
 
-    ``rotation`` and ``reflected`` map positions of the observed cycle onto
-    the canonical string: canonical position i corresponds to observed
-    position rotation + i (mod 6), or rotation - i when reflected.
+    The classes are closed under reflection, but a rotation alone always
+    reaches the class name: ``rotation`` maps positions of the observed
+    cycle onto the canonical string, canonical position i being observed
+    position rotation + i (mod 6).
     """
 
     name: str
     rotation: int
-    reflected: bool
 
     def observed_position(self, canonical_pos: int) -> int:
-        if self.reflected:
-            return (self.rotation - canonical_pos) % 6
         return (self.rotation + canonical_pos) % 6
-
-
-def _hexagon_variants(colors: Sequence[int]):
-    for reflected in (False, True):
-        for rot in range(6):
-            if reflected:
-                seq = [colors[(rot - i) % 6] for i in range(6)]
-            else:
-                seq = [colors[(rot + i) % 6] for i in range(6)]
-            pattern = canonical_letters(seq)
-            if pattern == "tttttt":
-                pattern = "pppppp"  # the constant class goes by its p name
-            yield rot, reflected, pattern
 
 
 def classify_hexagon(colors: Sequence[int]) -> HexagonClass:
@@ -403,9 +388,12 @@ def classify_hexagon(colors: Sequence[int]) -> HexagonClass:
         counts[c] += 1
     if any(v % 2 for v in counts.values()):
         raise BadParity(f"hexagon multiplicities {tuple(counts.values())} are not all even")
-    for rot, reflected, pattern in _hexagon_variants(colors):
+    for rot in range(6):
+        pattern = canonical_letters([colors[(rot + i) % 6] for i in range(6)])
+        if pattern == "tttttt":
+            pattern = "pppppp"  # the constant class goes by its p name
         if pattern in HEXAGON_CLASSES:
-            return HexagonClass(pattern, rot, reflected)
+            return HexagonClass(pattern, rot)
     raise BadParity(f"no class matches hexagon {tuple(colors)}")  # pragma: no cover
 
 

@@ -558,20 +558,9 @@ def extract_disk(
 
 
 def cap_with_apex(disk: Disk) -> Embedding:
-    """Close a disk into a sphere by joining a new apex to every boundary vertex."""
-    emb = disk.embedding
-    bverts = disk.boundary_vertices()
-    apex = emb.num_vertices
-    rotations = [list(emb.rotation(v)) for v in range(emb.num_vertices)]
-    k = len(bverts)
-    for i, v in enumerate(bverts):
-        nxt = bverts[(i + 1) % k]
-        rot = rotations[v]
-        # the outer gap at v sits between its boundary successor and
-        # predecessor; the apex spoke fills it, right after the successor
-        rot.insert(rot.index(nxt) + 1, apex)
-    rotations.append(list(bverts))
-    capped = Embedding(rotations)
+    """Close a disk into a sphere by coning its outer face: a new apex
+    joined to every boundary vertex."""
+    capped = cone_face(disk.embedding, disk.outer_face)
     if genus(capped) != 0 or not is_triangulation(capped):
         raise SideNotADisk("capping did not produce a sphere triangulation")
     return capped

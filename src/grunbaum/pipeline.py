@@ -293,12 +293,15 @@ class CaseEntry:
 def apply_case_table(variant: str, observed) -> CaseEntry:
     """Resolve an observed signature combination to a shipped coloring.
 
-    ``observed`` is a type triple for the two square-triple tables (the
-    symmetric one is matched up to rotation), a (pentagon signature, square
-    kind) pair after the documented reductions, a hexagon class name after
-    reductions, or a quadrilateral kind.  NoTableEntry flags combinations
-    the tables do not cover, which the reduction machinery is supposed to
-    rule out, so hitting one is a falsification-grade event.
+    ``observed`` is a type triple for the two square-triple tables, a
+    (pentagon signature, square kind) pair after the documented reductions,
+    a hexagon class name after reductions, or a quadrilateral kind.  The
+    symmetric (4,4,4)_A table is keyed up to the rotation ``rho`` that
+    cycles its squares, and its entry comes back rotated so that its square
+    signatures fit the triple; ``info`` describes the stored figure.
+    NoTableEntry flags combinations the tables do not cover, which the
+    reduction machinery is supposed to rule out, so hitting one is a
+    falsification-grade event.
     """
     table = cat.case_table(variant)
     if variant == "54":
@@ -313,7 +316,24 @@ def apply_case_table(variant: str, observed) -> CaseEntry:
     fig = next((table[key] for key in keys if key in table), None)
     if fig is None:
         raise NoTableEntry(f"{variant} has no entry for {observed!r}")
-    return CaseEntry(fig, cat.figure_colorings(fig)[1], cat.figure_info(fig))
+    coloring = cat.figure_colorings(fig)[1]
+    if variant == "444A":
+        labeling = cat.labeling_cycles("k6-444a")
+        for _ in range(3):
+            sigs = [classify_square([coloring[e] for e in cyc.edges]).kind
+                    for cyc in labeling["squares"]]
+            if all(s in SQUARE_TYPES[t] for s, t in zip(sigs, observed)):
+                break
+            coloring = _permute_vertices(cat.catalog_embedding("k6-444a"), coloring,
+                                         labeling["rho"])
+        else:
+            raise NoTableEntry(f"no rotation of {fig} fits types {observed}")
+    return CaseEntry(fig, coloring, cat.figure_info(fig))
+
+
+def _permute_vertices(emb: Embedding, coloring: PartialColoring, vperm) -> PartialColoring:
+    """Transport a coloring forward along a vertex permutation."""
+    return PartialColoring.from_dict(emb.num_edges, _place(emb, emb, vperm, coloring, {}))
 
 
 # -- frames: a catalog embedding matched inside a host ------------------------------
@@ -543,30 +563,13 @@ def _verified_report(
                        nodes=budget.used_nodes)
 
 
-def _finish(
-    host: Embedding,
-    frame: Frame,
-    out: dict[int, int],
-    method: str,
-    trace: list[str],
-    budget: Budget,
-) -> SolveReport:
-    """Extend over the frame's triangular faces, assemble, verify."""
-    _extend_over_triangles(host, frame.cat_emb, frame.vmap, out, budget)
-    if len(out) != host.num_edges:
-        raise NoTableEntry("case machinery did not cover every edge")
-    coloring = EdgeColoring(tuple(out[e] for e in range(host.num_edges)))
-    return _verified_report(host, coloring, method, trace, budget, method)
-
-
 # -- the K6 case machinery ------------------------------------------------------------
 
 
-def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
+def _route_k6_squares(host, frame, budget, trace) -> dict[int, int]:
     """(4,4,4) machinery: type each square disk, look up the triple, pin."""
     variant = "444A" if frame.name == "k6-444a" else "444B"
-    labeling = cat.labeling_cycles(frame.name)
-    squares = labeling["squares"]
+    squares = cat.labeling_cycles(frame.name)["squares"]
     cycles = [frame.host_cycle(host, cyc) for cyc in squares]
     regions = [cycle_region(host, cyc) for cyc in cycles]
     kinds = [region_square_kinds(host, region, cyc.edges, budget)
@@ -575,31 +578,10 @@ def _route_k6_squares(host, frame, budget, trace, method) -> SolveReport:
     trace.append(f"square types {types}")
     entry = apply_case_table(variant, types)
     trace.append(f"table entry {entry.figure_id}")
-
-    coloring = entry.coloring
-    if variant == "444A":
-        # rotate the shipped coloring with the square-cycling symmetry until
-        # its signatures line up with what each disk can actually achieve
-        rho = labeling["rho"]
-        for _ in range(3):
-            sigs = [
-                classify_square([coloring[e] for e in cyc.edges]).kind
-                for cyc in squares
-            ]
-            if all(s in SQUARE_TYPES[t] for s, t in zip(sigs, types)):
-                break
-            coloring = _permute_vertices(frame.cat_emb, coloring, rho)
-        else:
-            raise NoTableEntry(f"no rotation of {entry.figure_id} fits types {types}")
-    out = _place(host, frame.cat_emb, frame.vmap, coloring, {})
+    out = _place(host, frame.cat_emb, frame.vmap, entry.coloring, {})
     for region in regions:
         _fill(host, region, out, budget)
-    return _finish(host, frame, out, method, trace, budget)
-
-
-def _permute_vertices(emb: Embedding, coloring: PartialColoring, vperm) -> PartialColoring:
-    """Transport a coloring forward along a vertex permutation."""
-    return PartialColoring.from_dict(emb.num_edges, _place(emb, emb, vperm, coloring, {}))
+    return out
 
 
 def _outside_faces(host: Embedding, region: Region) -> set[int]:
@@ -649,7 +631,7 @@ def reduce_pentagon_disk(
     raise NoTableEntry("pentagon reductions did not terminate")
 
 
-def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
+def _route_k6_54(host, frame, budget, trace) -> dict[int, int]:
     labeling = cat.labeling_cycles("k6-54")
     pent_cyc = frame.host_cycle(host, labeling["pentagon"])
     pent_region = cycle_region(host, pent_cyc)
@@ -670,7 +652,7 @@ def _route_k6_54(host, frame, budget, trace, method) -> SolveReport:
     out = _merge_entry(host, frame, entry, labeling["pentagon"], pent_region, pent_cyc.edges,
                        coloring)
     _fill(host, sq_region, out, budget)
-    return _finish(host, frame, out, method, trace, budget)
+    return out
 
 
 def reduce_hexagon_disk(
@@ -704,7 +686,7 @@ def reduce_hexagon_disk(
     raise NoTableEntry("hexagon reductions did not terminate")
 
 
-def _route_k6_hex(host, frame, budget, trace, method) -> SolveReport:
+def _route_k6_hex(host, frame, budget, trace) -> dict[int, int]:
     labeling = cat.labeling_cycles("k6-6")
     hex_cat = labeling["hexagon"]
     hex_cyc = frame.host_cycle(host, hex_cat)
@@ -724,7 +706,7 @@ def _route_k6_hex(host, frame, budget, trace, method) -> SolveReport:
         raise NoTableEntry(f"frame cannot match hexagon class {cls.name}")
     out = _place(host, frame.cat_emb, frame.vmap, frame_coloring,
                  {e: coloring[e] for e in region.edges})
-    return _finish(host, frame, out, method, trace, budget)
+    return out
 
 
 def _letter_colors(observed: Sequence[int], cls) -> dict[str, int]:
@@ -741,7 +723,7 @@ def _letter_colors(observed: Sequence[int], cls) -> dict[str, int]:
     return mapping
 
 
-def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
+def _route_quadface(host, frame, budget, trace) -> dict[int, int]:
     """Hosts of the two non-K6 critical graphs with a quadrilateral face."""
     variant = "H7K2" if frame.name == "h7k2" else "C3C5"
     labeling = cat.labeling_cycles(frame.name)
@@ -760,21 +742,23 @@ def _route_quadface(host, frame, budget, trace, method) -> SolveReport:
     entry = apply_case_table(variant, kind)
     trace.append(f"table entry {entry.figure_id}")
     out = _merge_entry(host, frame, entry, quad_cat, region, quad_cyc.edges, coloring)
-    return _finish(host, frame, out, method, trace, budget)
+    return out
 
 
-def _route_six_regular(host, frame, budget, trace, method) -> SolveReport:
+def _route_six_regular(host, frame, budget, trace) -> dict[int, int]:
     """K7 or C11^3 inside the host: the frame is a grid triangulation, so
     color it by edge role and extend."""
     role_coloring = altshuler_coloring(_GRID_FRAMES[frame.name])
     out = _place(host, frame.cat_emb, frame.vmap, role_coloring, {})
     trace.append("grid labeling recognized")
-    return _finish(host, frame, out, method, trace, budget)
+    return out
 
 
 # -- the dispatch ---------------------------------------------------------------------
 
-# frame -> (method, route)
+# frame -> (method, route); a route reads its disks, places its table entry
+# and fills the disks, and returns those host colors (host edge -> color),
+# which solve extends over the frame's triangular faces and verifies
 _ROUTES = {
     "k7": ("K7", _route_six_regular),
     "c11cubed": ("CRITICAL(C11CUBED)", _route_six_regular),
@@ -848,7 +832,12 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
                     if match.pattern == "K6":
                         trace.append(f"embedding variant {frame.name}")
                     stage, route = _ROUTES[frame.name]
-                    report = route(emb, frame, budget, trace, stage)
+                    out = route(emb, frame, budget, trace)
+                    _extend_over_triangles(emb, frame.cat_emb, frame.vmap, out, budget)
+                    if len(out) != emb.num_edges:
+                        raise NoTableEntry("case machinery did not cover every edge")
+                    coloring = EdgeColoring(tuple(out[e] for e in range(emb.num_edges)))
+                    report = _verified_report(emb, coloring, stage, trace, budget, stage)
                 else:
                     # five-chromatic territory: search, and say so
                     trace.append("no critical subgraph: five-chromatic, exhaustive search")

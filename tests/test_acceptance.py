@@ -340,46 +340,24 @@ def _find_disk_with_hexagon_class(bank, legal_tuples, name):
 def test_criterion_6_case_tables(capsys):
     failures = []
 
-    # (4,4,4)_B: all 27 type triples resolve, with compatible signatures
+    # (4,4,4)_B and _A: all 27 type triples resolve to a verified entry
+    # whose square signatures fit the triple; 444A stores 11 keys up to
+    # rotation and returns its entry rotated to fit
     allowed = {1: {"A", "B1"}, 2: {"A", "B2"}, 3: {"C", "B1", "B2"}}
-    squares_b = labeling_cycles("k6-444b")["squares"]
-    for types in product((1, 2, 3), repeat=3):
-        try:
-            entry = apply_case_table("444B", types)
-        except NoTableEntry:
-            failures.append(("444B", types, "no entry"))
-            continue
-        sigs = [classify_square([entry.coloring[e] for e in cyc.edges]).kind
-                for cyc in squares_b]
-        if not all(s in allowed[t] for s, t in zip(sigs, types)):
-            failures.append(("444B", types, sigs))
-        if not verify_partial(catalog_embedding("k6-444b"), entry.coloring).ok:
-            failures.append(("444B", types, "entry fails verification"))
-
-    # (4,4,4)_A: 27 triples via 11 stored keys up to rotation; some rotation
-    # of the entry must fit the observed types
-    from grunbaum.pipeline import _permute_vertices
-
-    squares_a = labeling_cycles("k6-444a")["squares"]
-    rho = labeling_cycles("k6-444a")["rho"]
-    cat_a = catalog_embedding("k6-444a")
-    for types in product((1, 2, 3), repeat=3):
-        try:
-            entry = apply_case_table("444A", types)
-        except NoTableEntry:
-            failures.append(("444A", types, "no entry"))
-            continue
-        coloring = entry.coloring
-        for _ in range(3):
-            sigs = [classify_square([coloring[e] for e in cyc.edges]).kind
-                    for cyc in squares_a]
-            if all(s in allowed[t] for s, t in zip(sigs, types)):
-                break
-            coloring = _permute_vertices(cat_a, coloring, rho)
-        else:
-            failures.append(("444A", types, "no rotation fits"))
-        if not verify_partial(cat_a, entry.coloring).ok:
-            failures.append(("444A", types, "entry fails verification"))
+    for variant, name in (("444B", "k6-444b"), ("444A", "k6-444a")):
+        squares = labeling_cycles(name)["squares"]
+        for types in product((1, 2, 3), repeat=3):
+            try:
+                entry = apply_case_table(variant, types)
+            except NoTableEntry:
+                failures.append((variant, types, "no entry"))
+                continue
+            sigs = [classify_square([entry.coloring[e] for e in cyc.edges]).kind
+                    for cyc in squares]
+            if not all(s in allowed[t] for s, t in zip(sigs, types)):
+                failures.append((variant, types, sigs))
+            if not verify_partial(catalog_embedding(name), entry.coloring).ok:
+                failures.append((variant, types, "entry fails verification"))
 
     # (5,4): all ten signatures x three square types resolve via reductions
     pent_bank = enumerate_disks(5, 2)

@@ -153,6 +153,14 @@ def test_gen_refine_and_chromatic(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+def test_gen_refine_negative_steps_is_an_input_error(tmp_path, capsys):
+    base = tmp_path / "k7.emb"
+    write_embedding(gen_named("K7"), base)
+    assert main(["gen", "refine", str(base), "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error")
+
+
 def test_chromatic_c11cubed(tmp_path, capsys):
     path = tmp_path / "c11.emb"
     write_embedding(gen_named("C11^3").embedding, path)

@@ -184,27 +184,33 @@ def test_classify_hexagon():
         classify_hexagon((0, 0, 1, 1, 1, 2))
 
 
-def test_hexagon_class_partition():
-    # every parity-legal coloring lands in exactly one of the nine classes
-    from grunbaum.coloring import HEXAGON_CLASSES, _hexagon_variants
+_LEGAL_HEXAGONS = [
+    t for t in itertools.product((0, 1, 2), repeat=6)
+    if all(t.count(c) % 2 == 0 for c in (0, 1, 2))
+]
 
-    legal = [
-        t for t in itertools.product((0, 1, 2), repeat=6)
-        if all(t.count(c) % 2 == 0 for c in (0, 1, 2))
-    ]
-    assert len(legal) == 183
-    for t in legal:
-        names = {p for _, _, p in _hexagon_variants(t) if p in HEXAGON_CLASSES}
+
+def test_hexagon_class_partition():
+    # every parity-legal coloring lands in exactly one of the nine classes,
+    # read up to rotation, reflection and renaming of colors
+    from grunbaum.coloring import HEXAGON_CLASSES
+
+    assert len(_LEGAL_HEXAGONS) == 183
+    for t in _LEGAL_HEXAGONS:
+        readings = [t[rot:] + t[:rot] for rot in range(6)]
+        letters = {canonical_letters(r) for r in readings + [r[::-1] for r in readings]}
+        names = {"pppppp" if p == "tttttt" else p for p in letters} & set(HEXAGON_CLASSES)
         assert len(names) == 1
+        assert classify_hexagon(t).name in names
 
 
 def test_hexagon_witness_round_trip():
-    colors = (1, 0, 0, 2, 2, 1)
-    cls = classify_hexagon(colors)
-    observed = [colors[cls.observed_position(i)] for i in range(6)]
-    assert canonical_letters(observed) == (
-        "tttttt" if cls.name == "pppppp" else cls.name
-    )
+    for colors in _LEGAL_HEXAGONS:
+        cls = classify_hexagon(colors)
+        observed = [colors[cls.observed_position(i)] for i in range(6)]
+        assert canonical_letters(observed) == (
+            "tttttt" if cls.name == "pppppp" else cls.name
+        )
 
 
 def test_parity_check():

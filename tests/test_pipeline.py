@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from grunbaum.catalog import (
+    case_table,
     catalog_embedding,
     enumerate_disks,
     gen_altshuler,
@@ -254,6 +255,27 @@ def test_apply_case_table_444a_rotations():
         for t2 in (1, 2, 3):
             for t3 in (1, 2, 3):
                 apply_case_table("444A", (t1, t2, t3))
+
+
+def test_444a_route_rotates_its_table_entry():
+    # square disks 0, 0 and 2 spliced into the three squares of the
+    # (4,4,4)_A frame give square types that are no stored key, so the
+    # entry must come back rotated to fit them
+    from corpus import chordfree_disks
+
+    disks = chordfree_disks(4, 3)
+    host = gen_k6("444A")
+    for i in (0, 0, 2):
+        fs = trace_faces(host)
+        face = next(f for f in range(fs.num_faces) if fs.size(f) != 3)
+        host = splice_disk(host, face, disks[i])
+    assert host.num_vertices == 10
+    report = solve(host)
+    assert report.found and report.method == "CRITICAL(444A)"
+    assert verify_grunbaum(host, report.coloring).ok
+    (types,) = [t for t in report.trace if t.startswith("square types")]
+    triple = "".join(c for c in types if c.isdigit())
+    assert triple not in case_table("444A")
 
 
 def test_solve_torus_methods():
