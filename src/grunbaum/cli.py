@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import catalog as cat
-from .coloring import kempe_change, verify_grunbaum, verify_partial
+from .coloring import kempe_change, verify_partial
 from .embedding import genus, is_triangulation, trace_faces
 from .errors import BudgetExceeded, ChromaticUnknown, GrunbaumError
 from .fileio import (
@@ -81,11 +81,7 @@ def cmd_solve(args) -> int:
     if report.found:
         # the pipeline reports FOUND only for a verified coloring; exact
         # search does not check, so every coloring is checked before writing
-        if is_triangulation(emb):
-            check = verify_grunbaum(emb, report.coloring)
-        else:
-            check = verify_partial(emb, report.coloring.as_partial())
-        if not check.ok:
+        if not verify_partial(emb, report.coloring).ok:
             print("internal error: coloring failed verification", file=sys.stderr)
             return 1
         if args.out:
@@ -103,10 +99,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     emb = read_embedding(args.embfile)
     coloring = read_coloring(args.gcolfile, emb, partial=True)
-    if coloring.is_total and is_triangulation(emb):
-        report = verify_grunbaum(emb, coloring.to_total())
-    else:
-        report = verify_partial(emb, coloring)
+    report = verify_partial(emb, coloring)
     print(report.to_json() if args.json else
           f"{report.status} violations: {len(report.violations)} "
           f"coverage: {report.coverage['colored_edges']}/{report.coverage['total_edges']}")
@@ -129,13 +122,10 @@ def cmd_gen(args) -> int:
                 print("that name is an abstract graph, not an embedding",
                       file=sys.stderr)
                 return 2
-        elif args.generator == "refine":
+        else:  # refine; argparse's choices reject any other generator
             path, steps = args.params
             emb = cat.random_refinement(read_embedding(path), int(steps),
                                         seed=args.seed)
-        else:
-            print(f"unknown generator {args.generator!r}", file=sys.stderr)
-            return 2
     except ValueError as exc:
         raise ValueError(f"bad generator arguments {args.params}: {exc}") from exc
     text = write_embedding(emb, args.out)

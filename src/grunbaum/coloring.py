@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .embedding import Embedding, FaceCycle, dual_graph, trace_faces
+from .embedding import Embedding, FaceCycle, dual_graph, is_triangulation, trace_faces
 from .errors import (
     BadParity,
     ColoringIncomplete,
@@ -48,9 +48,6 @@ class EdgeColoring:
         for e, c in changes.items():
             cs[e] = c
         return EdgeColoring(tuple(cs))
-
-    def permuted(self, perm: Sequence[int]) -> "EdgeColoring":
-        return EdgeColoring(tuple(perm[c] for c in self.colors))
 
     def as_partial(self) -> "PartialColoring":
         return PartialColoring(self.colors)
@@ -134,49 +131,38 @@ class VerificationReport:
 def verify_grunbaum(emb: Embedding, coloring: EdgeColoring) -> VerificationReport:
     """Every facial triangle must see three distinct colors; emb must be a
     triangulation and the coloring total."""
-    fs = trace_faces(emb)
-    if any(len(f) != 3 for f in fs.faces):
+    if not is_triangulation(emb):
         raise NotTriangulation("verify_grunbaum requires a triangulation")
     if len(coloring) != emb.num_edges:
         raise ColoringIncomplete(
             f"coloring covers {len(coloring)} of {emb.num_edges} edges"
         )
+    return verify_partial(emb, coloring)
+
+
+def verify_partial(
+    emb: Embedding, coloring: EdgeColoring | PartialColoring
+) -> VerificationReport:
+    """Check only fully colored triangular faces, of a total or a partial
+    coloring; everything else passes.  This is the package's one face check."""
     colors = coloring.colors
     violations = []
-    for f, (d0, d1, d2) in enumerate(fs.faces):
+    checked = 0
+    for f, darts in enumerate(trace_faces(emb).faces):
+        if len(darts) != 3:
+            continue
+        d0, d1, d2 = darts
         a, b, c = colors[d0 >> 1], colors[d1 >> 1], colors[d2 >> 1]
+        if a is None or b is None or c is None:
+            continue
+        checked += 1
         if a == b or b == c or a == c:
             violations.append((f, (a, b, c)))
     return VerificationReport(
         "pass" if not violations else "fail",
         tuple(violations),
         {
-            "colored_edges": emb.num_edges,
-            "total_edges": emb.num_edges,
-            "faces_checked": fs.num_faces,
-        },
-    )
-
-
-def verify_partial(emb: Embedding, coloring: PartialColoring) -> VerificationReport:
-    """Check only fully colored triangular faces; everything else passes."""
-    fs = trace_faces(emb)
-    violations = []
-    checked = 0
-    for f, darts in enumerate(fs.faces):
-        if len(darts) != 3:
-            continue
-        cs = tuple(coloring[d >> 1] for d in darts)
-        if None in cs:
-            continue
-        checked += 1
-        if len(set(cs)) != 3:
-            violations.append((f, cs))
-    return VerificationReport(
-        "pass" if not violations else "fail",
-        tuple(violations),
-        {
-            "colored_edges": len(coloring.colored_edges),
+            "colored_edges": len(colors) - colors.count(None),
             "total_edges": emb.num_edges,
             "faces_checked": checked,
         },
@@ -297,9 +283,6 @@ def canonical_letters(colors: Sequence[int]) -> str:
 class SquareSignature:
     kind: str  # "A" | "B1" | "B2" | "C"
     pattern: str  # canonical letters as read from the cycle's fixed start
-
-    def __str__(self) -> str:
-        return self.kind
 
 
 _SQUARE_KINDS = {"tptp": "A", "tttt": "C", "ttpp": "B1", "tppt": "B2"}

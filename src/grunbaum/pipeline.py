@@ -68,25 +68,23 @@ _ROLE_COLOR = {"V": 0, "H": 1, "D": 2}
 def altshuler_coloring(grid) -> EdgeColoring:
     """Color a labeled grid by edge role: vertical, horizontal, diagonal.
 
-    Every triangular face of a grid has one edge of each role, so the role
-    assignment is itself a valid coloring.
+    Every triangular face of a generated grid has one edge of each role, so
+    the role assignment is itself a coloring; :func:`solve` verifies it.
     """
     if not isinstance(grid, cat.GridTriangulation):
         raise NotAGridLabeling("input does not carry grid edge roles")
-    coloring = EdgeColoring(tuple(_ROLE_COLOR[r] for r in grid.roles))
-    report = verify_grunbaum(grid.embedding, coloring)
-    if not report.ok:  # pragma: no cover - generator guarantees this
-        raise NotAGridLabeling("edge roles are inconsistent with the faces")
-    return coloring
+    return EdgeColoring(tuple(_ROLE_COLOR[r] for r in grid.roles))
 
 
 def recognize_grid_coloring(emb: Embedding) -> tuple[EdgeColoring, str] | None:
     """Try to match a six-regular embedding with a generated grid.
 
     Grid parameters (rows, cols, twist) with rows*cols equal to the vertex
-    count are tried in order; an embedding isomorphism transports the role
-    coloring back.  Returns None when nothing matches, which for a genus-1
-    triangulation means the input was not six-regular.
+    count are tried in order; the first embedding isomorphism transports the
+    role coloring back.  An isomorphism carries faces to faces, so the
+    transported coloring is as valid as the grid's.  Returns None when
+    nothing matches, which for a genus-1 triangulation means the input was
+    not six-regular.
     """
     n = emb.num_vertices
     if any(emb.degree(v) != 6 for v in range(n)):
@@ -105,8 +103,7 @@ def recognize_grid_coloring(emb: Embedding) -> tuple[EdgeColoring, str] | None:
                 continue
             colors = _place(emb, grid.embedding, vmap, altshuler_coloring(grid), {})
             coloring = EdgeColoring(tuple(colors[e] for e in range(emb.num_edges)))
-            if verify_grunbaum(emb, coloring).ok:
-                return coloring, f"T({rows},{cols},{twist})"
+            return coloring, f"T({rows},{cols},{twist})"
     return None
 
 
@@ -792,6 +789,11 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
     which yields the same first match as the whole host; exactly one match
     is expected, and zero or several raise ClassificationAnomaly.
 
+    Every route's coloring, the grid's included, is checked exactly once,
+    by ``_verified_report``: FOUND only if it passes, else UNKNOWN named
+    after the stage that built it (grid recognition, tait lift, the route's
+    method or exact search).
+
     Every sub-search spends the one budget.  When it runs out, the report is
     UNKNOWN, and its method and last trace entry name the stage: 4-coloring,
     subgraph search, the route's method (e.g. K7) or exact search.  The
@@ -802,16 +804,16 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
     trace: list[str] = []
     stage = "4-coloring"
     if isinstance(emb, cat.GridTriangulation):
-        report = SolveReport(FOUND, altshuler_coloring(emb), method="ALTSHULER",
-                             trace=("grid roles",))
+        report = _verified_report(emb.embedding, altshuler_coloring(emb), "ALTSHULER",
+                                  ["grid roles"], budget, "grid recognition")
     elif (g := genus(emb)) > 1:
         raise ValueError(f"genus {g} is out of scope; only sphere and torus are handled")
     elif not is_triangulation(emb):
         raise NotTriangulation("solve expects a triangulation")
     elif g == 1 and (recognized := recognize_grid_coloring(emb)) is not None:
         coloring, grid_name = recognized
-        report = SolveReport(FOUND, coloring, method="ALTSHULER",
-                             trace=(f"recognized {grid_name}",))
+        report = _verified_report(emb, coloring, "ALTSHULER", [f"recognized {grid_name}"],
+                                  budget, "grid recognition")
     else:
         adj = emb.adjacency()
         try:

@@ -254,13 +254,17 @@ def _rotation_code(rotations, start: int, first: int, step: int) -> tuple[int, .
 
 
 def _canonical(rotations) -> tuple[int, ...]:
-    """The least rotation code over every dart at a vertex of maximum
-    degree, in both orientations; equal exactly for isomorphic or mirrored
-    embeddings."""
-    top = max(map(len, rotations))
+    """The least rotation code, in both orientations, over the darts v -> w
+    that maximize (weight of v, weight of w), a vertex's weight being its
+    degree and the sum of its neighbours' degrees.  Isomorphisms and mirror
+    images keep weights, hence that set of darts, so the code is equal
+    exactly for isomorphic or mirrored embeddings."""
+    deg = [len(rot) for rot in rotations]
+    weight = [(deg[v], sum(deg[w] for w in rot)) for v, rot in enumerate(rotations)]
+    best = max((weight[v], weight[w]) for v, rot in enumerate(rotations) for w in rot)
     return min(_rotation_code(rotations, v, w, step)
-               for v, rot in enumerate(rotations) if len(rot) == top
-               for w in rot for step in (1, -1))
+               for v, rot in enumerate(rotations) for w in rot
+               if (weight[v], weight[w]) == best for step in (1, -1))
 
 
 def _flip(rotations, u: int, v: int):

@@ -11,6 +11,7 @@ from grunbaum.catalog import (
     random_refinement,
     triangulate_faces,
 )
+from grunbaum.embedding import build_embedding
 from grunbaum.fileio import read_coloring, read_embedding, write_embedding
 from grunbaum.pipeline import solve
 
@@ -309,3 +310,75 @@ def test_negative_budget_is_an_input_error(command, capsys, ico_file, monkeypatc
     assert captured.out == "" and captured.err.startswith("input error")
     monkeypatch.setenv("GRUNBAUM_BUDGET", "0")
     assert main([command, ico_file]) == 1
+
+
+def test_gen_k6_prints_an_embedding(capsys):
+    assert main(["gen", "k6", "444A"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("vertices: 6")
+
+
+def test_gen_named_abstract_graph_exits_2(capsys):
+    assert main(["gen", "named", "h7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "abstract graph" in captured.err
+
+
+def test_gen_named_grid_prints_its_embedding(capsys):
+    assert main(["gen", "named", "C11^3"]) == 0
+    assert capsys.readouterr().out.startswith("vertices: 11")
+
+
+def test_gen_unknown_generator_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.fixture
+def t331_files(tmp_path):
+    emb_path = tmp_path / "t331.emb"
+    main(["gen", "altshuler", "3", "3", "1", "--out", str(emb_path)])
+    gcol = tmp_path / "t331.gcol"
+    main(["solve", str(emb_path), "--out", str(gcol)])
+    return str(emb_path), str(gcol)
+
+
+def test_kempe_on_a_non_edge_exits_2(capsys, t331_files):
+    assert not read_embedding(t331_files[0]).has_edge(0, 5)
+    capsys.readouterr()
+    assert main(["kempe", *t331_files, "--edge", "0,5", "--colors", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no edge 0-5" in captured.err
+
+
+def test_kempe_seed_outside_the_colors_exits_2(capsys, t331_files):
+    emb = read_embedding(t331_files[0])
+    coloring = read_coloring(t331_files[1], emb)
+    seed = coloring[emb.edge_id(0, 1)]
+    others = ",".join(str(c) for c in range(3) if c != seed)
+    capsys.readouterr()
+    assert main(["kempe", *t331_files, "--edge", "0,1", "--colors", others]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: seed edge")
+
+
+def test_solve_genus_two_is_an_input_error(tmp_path, capsys):
+    # K5 with every rotation in increasing order embeds with genus 2
+    path = tmp_path / "k5.emb"
+    write_embedding(build_embedding([[w for w in range(5) if w != v] for v in range(5)]),
+                    path)
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: genus 2 is out of scope")
+
+
+def test_solve_non_triangulation_is_an_error(tmp_path, capsys):
+    path = tmp_path / "k6_6.emb"
+    assert main(["gen", "k6", "6", "--out", str(path)]) == 0
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: solve expects a triangulation")

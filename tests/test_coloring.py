@@ -51,6 +51,17 @@ def test_verify_grunbaum_guards():
         verify_grunbaum(K4, EdgeColoring((0,) * 3))
 
 
+def test_verify_partial_takes_total_colorings_as_verify_grunbaum_does():
+    # one face loop: on a total coloring of a triangulation both checks give
+    # the same report, passing or failing
+    for emb, coloring in ((OCT, tait_lift(OCT, [v % 3 for v in range(6)])),
+                          (K4, EdgeColoring((0, 1, 0, 2, 1, 1)))):
+        total = verify_grunbaum(emb, coloring)
+        assert verify_partial(emb, coloring) == total
+        assert verify_partial(emb, coloring.as_partial()) == total
+    assert not total.ok and total.coverage["faces_checked"] == 4
+
+
 def test_altshuler_grid_coloring_passes():
     grid = gen_altshuler(3, 3, 0)
     assert verify_grunbaum(grid.embedding, altshuler_coloring(grid)).ok

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import io
 import json
 import os
@@ -364,14 +365,19 @@ def test_solve_large_refined_grid_goes_tait():
     assert verify_grunbaum(g, report.coloring).ok
 
 
+def _spoiled(emb, coloring):
+    """The coloring with face 0's second edge given its first edge's color."""
+    colors = list(coloring.colors)
+    e0, e1, _ = trace_faces(emb).face_edges(0)
+    colors[e1] = colors[e0]
+    return EdgeColoring(tuple(colors))
+
+
 def test_failed_lift_is_not_reported_found(monkeypatch):
     real_lift = pipeline.tait_lift
 
     def bad_lift(emb, vertex_colors):
-        colors = list(real_lift(emb, vertex_colors).colors)
-        e0, e1, _ = trace_faces(emb).face_edges(0)
-        colors[e1] = colors[e0]
-        return EdgeColoring(tuple(colors))
+        return _spoiled(emb, real_lift(emb, vertex_colors))
 
     monkeypatch.setattr(pipeline, "tait_lift", bad_lift)
     sphere = gen_named("octahedron")
@@ -379,6 +385,27 @@ def test_failed_lift_is_not_reported_found(monkeypatch):
     for report in (solve(sphere), solve(torus)):
         assert report.status == "UNKNOWN" and report.coloring is None
         assert any("tait lift" in t for t in report.trace)
+
+
+def test_failed_grid_recognition_is_not_reported_found(monkeypatch):
+    real_recognize = pipeline.recognize_grid_coloring
+
+    def bad_recognize(emb):
+        coloring, name = real_recognize(emb)
+        return _spoiled(emb, coloring), name
+
+    monkeypatch.setattr(pipeline, "recognize_grid_coloring", bad_recognize)
+    report = solve(gen_altshuler(3, 3, 0).embedding)
+    assert _unknown_stage(report) == ("grid recognition", "coloring failed verification")
+
+
+def test_labeled_grid_whose_roles_fail_is_unknown():
+    # a hand-built grid with its roles shifted by one edge: no generator
+    # builds one, and solve reports it UNKNOWN rather than raising
+    grid = gen_altshuler(4, 4, 1)
+    shifted = dataclasses.replace(grid, roles=grid.roles[1:] + grid.roles[:1])
+    report = solve(shifted)
+    assert _unknown_stage(report) == ("grid recognition", "coloring failed verification")
 
 
 def test_quad_apex_never_alternating():
@@ -498,6 +525,31 @@ ROUTE_HOSTS = {
     "EXACT": lambda: random_refinement(gen_altshuler(3, 3, 1).embedding, 2, seed=0),
 }
 LAST_STAGE = {"TAIT": "4-coloring", "EXACT": "exact search"}
+
+
+# every route, the grids' and the lift's included, checks its coloring once
+VERIFY_ONCE_HOSTS = {
+    "labeled grid": ("ALTSHULER", lambda: gen_altshuler(4, 4, 1)),
+    "unlabeled grid": ("ALTSHULER", lambda: gen_altshuler(3, 3, 0).embedding),
+    "sphere": ("TAIT", lambda: gen_named("octahedron")),
+    **{method: (method, host) for method, host in ROUTE_HOSTS.items()},
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_ONCE_HOSTS)
+def test_solve_verifies_once_on_every_route(name, monkeypatch):
+    method, host = VERIFY_ONCE_HOSTS[name]
+    calls = []
+    real_verify = pipeline.verify_grunbaum
+
+    def counted(emb, coloring):
+        calls.append(emb)
+        return real_verify(emb, coloring)
+
+    monkeypatch.setattr(pipeline, "verify_grunbaum", counted)
+    report = solve(host())
+    assert report.found and report.method == method
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("method", list(ROUTE_HOSTS))

@@ -13,8 +13,8 @@ torus with n vertices once up to isomorphism and mirror image
 An input that does not end FOUND, or whose solve raises, is printed with
 its rotations, so that it can be kept as a fixture.  The published counts
 are 1, 7, 112, 2,109 and 37,867 for 7-11 vertices (Lutz, The Manifold
-Page; Sulanke & Lutz, Europ. J. Combin. 30, 2009).  n = 11 takes several
-minutes, nearly all of it enumeration.
+Page; Sulanke & Lutz, Europ. J. Combin. 30, 2009).  n = 11 takes about a
+minute and a half on a 2-vCPU VM, most of it enumeration.
 
     python3 tools/torus_census.py          # n = 10 and 11
     python3 tools/torus_census.py 9 10
