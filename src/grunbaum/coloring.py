@@ -88,9 +88,6 @@ class PartialColoring:
             cs[e] = c
         return PartialColoring(tuple(cs))
 
-    def permuted(self, perm: Sequence[int]) -> "PartialColoring":
-        return PartialColoring(tuple(None if c is None else perm[c] for c in self.colors))
-
     @staticmethod
     def empty(num_edges: int) -> "PartialColoring":
         return PartialColoring((None,) * num_edges)

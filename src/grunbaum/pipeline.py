@@ -3,11 +3,11 @@
 The dispatch mirrors the structure theory it implements: grids are colored
 by their edge roles; 4-colorable graphs, every sphere among them, lift a
 vertex coloring; hosts of K7 or of one of the four critical six-chromatic
-graphs are colored by coloring the embedded subgraph compatibly with the
-triangulated disks in its non-triangular faces and extending into the
-triangular ones; everything
-else (the open five-chromatic territory) falls back to exhaustive search,
-reported honestly as FOUND or UNKNOWN, never as a theory claim.
+graphs are colored by coloring the embedded subgraph (the frame) from a case
+table chosen by reading the triangulated disks in its non-triangular faces,
+then filling every disk behind a frame face from the frame's colors;
+everything else (the open five-chromatic territory) falls back to exhaustive
+search, reported honestly as FOUND or UNKNOWN, never as a theory claim.
 """
 from __future__ import annotations
 
@@ -316,21 +316,18 @@ def apply_case_table(variant: str, observed) -> CaseEntry:
     coloring = cat.figure_colorings(fig)[1]
     if variant == "444A":
         labeling = cat.labeling_cycles("k6-444a")
+        emb = cat.catalog_embedding("k6-444a")
         for _ in range(3):
             sigs = [classify_square([coloring[e] for e in cyc.edges]).kind
                     for cyc in labeling["squares"]]
             if all(s in SQUARE_TYPES[t] for s, t in zip(sigs, observed)):
                 break
-            coloring = _permute_vertices(cat.catalog_embedding("k6-444a"), coloring,
-                                         labeling["rho"])
+            # carry the coloring forward along the rotation rho
+            coloring = PartialColoring.from_dict(
+                emb.num_edges, _place(emb, emb, labeling["rho"], coloring, {}))
         else:
             raise NoTableEntry(f"no rotation of {fig} fits types {observed}")
     return CaseEntry(fig, coloring, cat.figure_info(fig))
-
-
-def _permute_vertices(emb: Embedding, coloring: PartialColoring, vperm) -> PartialColoring:
-    """Transport a coloring forward along a vertex permutation."""
-    return PartialColoring.from_dict(emb.num_edges, _place(emb, emb, vperm, coloring, {}))
 
 
 # -- frames: a catalog embedding matched inside a host ------------------------------
@@ -444,30 +441,6 @@ def _host_cycle(host: Embedding, sub: Embedding, vmap: Sequence[int],
     )
 
 
-def _recolor_to(coloring: PartialColoring, positions: Sequence[int],
-                colors: Sequence[int]) -> PartialColoring:
-    """The coloring with its colors renamed so that it reads ``colors`` at
-    ``positions``; the renaming is completed to a bijection."""
-    perm: dict[int, int] = {}
-    for p, b in zip(positions, colors):
-        if perm.setdefault(coloring[p], b) != b:
-            raise NoTableEntry("boundary patterns differ by more than recoloring")
-    if len(set(perm.values())) != len(perm):
-        raise NoTableEntry("boundary patterns are not color-bijective")
-    free_src = [c for c in COLORS if c not in perm]
-    free_dst = [c for c in COLORS if c not in perm.values()]
-    perm.update(zip(free_src, free_dst))
-    return coloring.permuted(tuple(perm[c] for c in COLORS))
-
-
-def _merge_entry(host, frame, entry, cat_cycle, region, positions, coloring) -> dict[int, int]:
-    """The region's host colors, with the table entry placed on the host,
-    recolored so that its labeling cycle agrees with them at ``positions``."""
-    recolored = _recolor_to(entry.coloring, cat_cycle.edges, [coloring[p] for p in positions])
-    return _place(host, frame.cat_emb, frame.vmap, recolored,
-                  {e: coloring[e] for e in region.edges})
-
-
 def extend_over_face(
     host: Embedding,
     face_cycle: FaceCycle,
@@ -478,9 +451,9 @@ def extend_over_face(
 
     The region is read off the host (:func:`cycle_region`), colored with
     its three boundary edges at their colors in ``out``, and its edge
-    colors are written into ``out`` (:func:`fill_region`); no embedding is
-    built for it.  A triangle that is a face of the host has nothing
-    behind it.
+    colors are written into ``out`` (:func:`fill_region`), as :func:`solve`
+    fills the regions behind the frame's other faces; no embedding is built
+    for it.  A triangle that is a face of the host has nothing behind it.
     """
     face_of = trace_faces(host).face_of
     if len({face_of[d] for d in face_cycle.darts}) == 1:
@@ -563,8 +536,8 @@ def _verified_report(
 # -- the K6 case machinery ------------------------------------------------------------
 
 
-def _route_k6_squares(host, frame, budget, trace) -> dict[int, int]:
-    """(4,4,4) machinery: type each square disk, look up the triple, pin."""
+def _route_k6_squares(host, frame, budget, trace) -> tuple[PartialColoring, list[Region]]:
+    """(4,4,4) machinery: type each square disk and look up the triple."""
     variant = "444A" if frame.name == "k6-444a" else "444B"
     squares = cat.labeling_cycles(frame.name)["squares"]
     cycles = [frame.host_cycle(host, cyc) for cyc in squares]
@@ -575,10 +548,7 @@ def _route_k6_squares(host, frame, budget, trace) -> dict[int, int]:
     trace.append(f"square types {types}")
     entry = apply_case_table(variant, types)
     trace.append(f"table entry {entry.figure_id}")
-    out = _place(host, frame.cat_emb, frame.vmap, entry.coloring, {})
-    for region in regions:
-        _fill(host, region, out, budget)
-    return out
+    return entry.coloring, regions
 
 
 def _outside_faces(host: Embedding, region: Region) -> set[int]:
@@ -628,7 +598,7 @@ def reduce_pentagon_disk(
     raise NoTableEntry("pentagon reductions did not terminate")
 
 
-def _route_k6_54(host, frame, budget, trace) -> dict[int, int]:
+def _route_k6_54(host, frame, budget, trace) -> tuple[PartialColoring, list[Region]]:
     labeling = cat.labeling_cycles("k6-54")
     pent_cyc = frame.host_cycle(host, labeling["pentagon"])
     pent_region = cycle_region(host, pent_cyc)
@@ -640,16 +610,12 @@ def _route_k6_54(host, frame, budget, trace) -> dict[int, int]:
     trace.append(f"square type {sq_type}, target {target_kind}")
 
     coloring = apex_solve(host, pent_region, budget=budget)
-    coloring, sig, steps = reduce_pentagon_disk(host, pent_region, pent_cyc.edges, coloring,
-                                                sq_type)
+    _, sig, steps = reduce_pentagon_disk(host, pent_region, pent_cyc.edges, coloring, sq_type)
     trace.extend(steps)
 
     entry = apply_case_table("54", (sig, target_kind))
     trace.append(f"table entry {entry.figure_id}")
-    out = _merge_entry(host, frame, entry, labeling["pentagon"], pent_region, pent_cyc.edges,
-                       coloring)
-    _fill(host, sq_region, out, budget)
-    return out
+    return entry.coloring, [pent_region, sq_region]
 
 
 def reduce_hexagon_disk(
@@ -683,7 +649,7 @@ def reduce_hexagon_disk(
     raise NoTableEntry("hexagon reductions did not terminate")
 
 
-def _route_k6_hex(host, frame, budget, trace) -> dict[int, int]:
+def _route_k6_hex(host, frame, budget, trace) -> tuple[EdgeColoring, list[Region]]:
     labeling = cat.labeling_cycles("k6-6")
     hex_cat = labeling["hexagon"]
     hex_cyc = frame.host_cycle(host, hex_cat)
@@ -701,9 +667,7 @@ def _route_k6_hex(host, frame, budget, trace) -> dict[int, int]:
     frame_coloring = color_faces(frame.cat_emb, budget, pins)
     if frame_coloring is None:
         raise NoTableEntry(f"frame cannot match hexagon class {cls.name}")
-    out = _place(host, frame.cat_emb, frame.vmap, frame_coloring,
-                 {e: coloring[e] for e in region.edges})
-    return out
+    return frame_coloring, [region]
 
 
 def _letter_colors(observed: Sequence[int], cls) -> dict[str, int]:
@@ -720,7 +684,7 @@ def _letter_colors(observed: Sequence[int], cls) -> dict[str, int]:
     return mapping
 
 
-def _route_quadface(host, frame, budget, trace) -> dict[int, int]:
+def _route_quadface(host, frame, budget, trace) -> tuple[PartialColoring, list[Region]]:
     """Hosts of the two non-K6 critical graphs with a quadrilateral face."""
     variant = "H7K2" if frame.name == "h7k2" else "C3C5"
     labeling = cat.labeling_cycles(frame.name)
@@ -738,24 +702,23 @@ def _route_quadface(host, frame, budget, trace) -> dict[int, int]:
     trace.append(f"quad class {kind}")
     entry = apply_case_table(variant, kind)
     trace.append(f"table entry {entry.figure_id}")
-    out = _merge_entry(host, frame, entry, quad_cat, region, quad_cyc.edges, coloring)
-    return out
+    return entry.coloring, [region]
 
 
-def _route_six_regular(host, frame, budget, trace) -> dict[int, int]:
+def _route_six_regular(host, frame, budget, trace) -> tuple[EdgeColoring, list[Region]]:
     """K7 or C11^3 inside the host: the frame is a grid triangulation, so
-    color it by edge role and extend."""
-    role_coloring = altshuler_coloring(_GRID_FRAMES[frame.name])
-    out = _place(host, frame.cat_emb, frame.vmap, role_coloring, {})
+    color it by edge role; it has no other faces than triangles."""
     trace.append("grid labeling recognized")
-    return out
+    return altshuler_coloring(_GRID_FRAMES[frame.name]), []
 
 
 # -- the dispatch ---------------------------------------------------------------------
 
-# frame -> (method, route); a route reads its disks, places its table entry
-# and fills the disks, and returns those host colors (host edge -> color),
-# which solve extends over the frame's triangular faces and verifies
+# frame -> (method, route); a route reads the disks behind the frame's
+# non-triangular faces and picks its table entry, and returns the frame
+# coloring (frame edge -> color) with the host regions of those faces; it
+# puts no color on the host.  solve places the frame coloring, fills every
+# returned region and the region behind each triangle from it, and verifies
 _ROUTES = {
     "k7": ("K7", _route_six_regular),
     "c11cubed": ("CRITICAL(C11CUBED)", _route_six_regular),
@@ -777,10 +740,14 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
     grid if it is one.  Then every input tries the vertex-coloring lift,
     which colors every sphere; a sphere it fails is reported UNSAT, which
     the four color theorem rules out.  A torus goes on: hosts of K7 via
-    the grid coloring of K7 plus extension; hosts of a critical
-    six-chromatic graph via its case machinery.  What remains is
-    five-chromatic and goes to exhaustive search, which cannot claim
-    anything beyond what it finds.
+    the grid coloring of K7; hosts of a critical six-chromatic graph via
+    its case machinery.  Either route returns a coloring of its frame and
+    the host regions of the frame's non-triangular faces; ``solve`` places
+    the frame coloring on the host and fills each of those regions, and
+    the region behind each of the frame's triangles, from the frame's
+    boundary colors (:func:`fill_region`).  What remains is five-chromatic
+    and goes to exhaustive search, which cannot claim anything beyond what
+    it finds.
 
     After a failed 4-coloring, one 5-coloring gates the subgraph search.  K7
     and the four critical graphs are six-chromatic, so a 5-colorable host
@@ -834,7 +801,10 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
                     if match.pattern == "K6":
                         trace.append(f"embedding variant {frame.name}")
                     stage, route = _ROUTES[frame.name]
-                    out = route(emb, frame, budget, trace)
+                    frame_coloring, regions = route(emb, frame, budget, trace)
+                    out = _place(emb, frame.cat_emb, frame.vmap, frame_coloring, {})
+                    for region in regions:
+                        _fill(emb, region, out, budget)
                     _extend_over_triangles(emb, frame.cat_emb, frame.vmap, out, budget)
                     if len(out) != emb.num_edges:
                         raise NoTableEntry("case machinery did not cover every edge")

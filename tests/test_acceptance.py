@@ -337,6 +337,13 @@ def _find_disk_with_hexagon_class(bank, legal_tuples, name):
     return None
 
 
+def _colors_every_frame_edge(frame: str, entry) -> bool:
+    """An entry is placed whole, and the disks behind its frame's faces are
+    filled from its colors, so it must color every edge of its frame."""
+    return (len(entry.coloring) == catalog_embedding(frame).num_edges
+            and entry.coloring.is_total)
+
+
 def test_criterion_6_case_tables(capsys):
     failures = []
 
@@ -358,6 +365,8 @@ def test_criterion_6_case_tables(capsys):
                 failures.append((variant, types, sigs))
             if not verify_partial(catalog_embedding(name), entry.coloring).ok:
                 failures.append((variant, types, "entry fails verification"))
+            if not _colors_every_frame_edge(name, entry):
+                failures.append((variant, types, "entry leaves an edge uncolored"))
 
     # (5,4): all ten signatures x three square types resolve via reductions
     pent_bank = enumerate_disks(5, 2)
@@ -380,6 +389,8 @@ def test_criterion_6_case_tables(capsys):
                 continue
             if not verify_partial(catalog_embedding("k6-54"), entry.coloring).ok:
                 failures.append(("54", sorted(sig), sq_type, "entry fails"))
+            if not _colors_every_frame_edge("k6-54", entry):
+                failures.append(("54", sorted(sig), sq_type, "entry leaves an edge uncolored"))
 
     # (6): all nine classes resolve via the documented reductions
     legal = [t for t in product((0, 1, 2), repeat=6)
@@ -403,6 +414,8 @@ def test_criterion_6_case_tables(capsys):
             failures.append(("6", name, "reductions ended off the direct set"))
         if not verify_partial(catalog_embedding("k6-6"), entry.coloring).ok:
             failures.append(("6", name, "entry fails"))
+        if not _colors_every_frame_edge("k6-6", entry):
+            failures.append(("6", name, "entry leaves an edge uncolored"))
 
     # quadrilateral tables: one entry per realizable class, all verified
     for variant, host in (("H7K2", "h7k2"), ("C3C5", "c3c5")):
@@ -410,11 +423,13 @@ def test_criterion_6_case_tables(capsys):
             entry = apply_case_table(variant, kind)
             if not verify_partial(catalog_embedding(host), entry.coloring).ok:
                 failures.append((variant, kind, "entry fails"))
+            if not _colors_every_frame_edge(host, entry):
+                failures.append((variant, kind, "entry leaves an edge uncolored"))
 
     with capsys.disabled():
         _report(6, failures,
                 "all 27 + 11 + 10x3 + 9 signature combinations resolve to "
-                "verified entries")
+                "verified entries that color every frame edge")
 
 
 # -- 7: bundled figure data ------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_solve_reports_its_wall_time(method, host, tmp_path, capsys):
     assert doc["method"] == method and doc["stats"]["millis"] > 0
 
 
-def test_solve_planar_reports_its_wall_time():
+def test_solve_sphere_reports_its_wall_time():
     assert solve(gen_named("octahedron")).millis > 0
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from collections import Counter
 from contextlib import redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -102,7 +103,7 @@ def _hexagon_hosts():
     return [splice_disk(e6, hexf, disk) for disk in nondominating_hexagon_disks(2)]
 
 
-def test_solve_planar_routes():
+def test_solve_sphere_routes():
     for name in ("octahedron", "icosahedron"):
         emb = gen_named(name)
         report = solve(emb)
@@ -279,7 +280,7 @@ def test_444a_route_rotates_its_table_entry():
     assert triple not in case_table("444A")
 
 
-def test_solve_torus_methods():
+def test_solve_torus_routes():
     cases = [
         (gen_altshuler(4, 4, 1), "ALTSHULER"),
         (random_refinement(gen_named("K7"), 5, seed=1), "K7"),
@@ -339,7 +340,7 @@ def test_every_small_torus_triangulation_is_colored(n, count):
         assert report.method.split("(")[0] == route, (emb.rotations, report.method)
 
 
-def test_solve_torus_hexagon_route():
+def test_solve_hexagon_route():
     for g in _hexagon_hosts():
         report = solve(g)
         assert report.found and report.method == "CRITICAL(6)"
@@ -550,6 +551,35 @@ def test_solve_verifies_once_on_every_route(name, monkeypatch):
     report = solve(host())
     assert report.found and report.method == method
     assert len(calls) == 1
+
+
+# fill_region calls by boundary length: solve fills each disk behind a frame
+# face once, from the frame coloring; the square kinds of the 444A and 54
+# squares are read with four pinned fills each before that
+FILLS_BY_BOUNDARY = {
+    "CRITICAL(444A)": {4: 15},
+    "CRITICAL(54)": {4: 5, 5: 1},
+    "CRITICAL(6)": {6: 1},
+    "CRITICAL(H7K2)": {4: 1},
+    "CRITICAL(C3C5)": {4: 1},
+}
+
+
+@pytest.mark.parametrize("method", FILLS_BY_BOUNDARY)
+def test_solve_fills_every_disk_from_the_frame_coloring(method, monkeypatch):
+    boundaries = Counter()
+    real_fill_region = pipeline.fill_region
+
+    def counted(host, region, out, budget=None):
+        boundaries[len(region.boundary)] += 1
+        return real_fill_region(host, region, out, budget)
+
+    monkeypatch.setattr(pipeline, "fill_region", counted)
+    host = ROUTE_HOSTS[method]()
+    report = solve(host)
+    assert report.found and report.method == method
+    assert verify_grunbaum(host, report.coloring).ok
+    assert dict(boundaries) == FILLS_BY_BOUNDARY[method]
 
 
 @pytest.mark.parametrize("method", list(ROUTE_HOSTS))
