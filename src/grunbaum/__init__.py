@@ -63,9 +63,7 @@ from .catalog import (
     triangulate_faces,
 )
 from .pipeline import (
-    CaseEntry,
     altshuler_coloring,
-    apply_case_table,
     extend_into_faces,
     solve,
     solve_disk,

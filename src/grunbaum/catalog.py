@@ -4,7 +4,9 @@ and the test corpus.
 Everything under data/ is validated on first access: embeddings against
 their recorded genus and face census, colorings against the fully-colored-
 triangle rule.  A validation failure means corrupted data, not a method
-error, and surfaces as an exception immediately.
+error, and surfaces as an exception immediately.  The frames' coloring
+classes are only parsed, as the solve loads them on import; the tests
+re-derive and verify them.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from importlib import resources
-from .coloring import PartialColoring, verify_partial
+from .coloring import COLORS, PartialColoring, verify_partial
 from .embedding import (
     Disk,
     Embedding,
@@ -86,6 +88,8 @@ def gen_altshuler(rows: int, cols: int, twist: int) -> GridTriangulation:
 # -- bundled data -----------------------------------------------------------------
 
 _cache: dict = {}
+# a digit string to its colors in one translate, not an int() per digit
+_DIGITS = bytes.maketrans(b"012", bytes(COLORS))
 
 
 def _load():
@@ -115,6 +119,8 @@ def _load():
     _cache["figures"] = figures
     _cache["labelings"] = manifest["labelings"]
     _cache["case_tables"] = manifest["case_tables"]
+    _cache["classes"] = {name: tuple(tuple(s.encode().translate(_DIGITS)) for s in strings)
+                         for name, strings in manifest["frame_classes"].items()}
     return _cache
 
 
@@ -183,14 +189,6 @@ def figure_ids() -> tuple[str, ...]:
     return tuple(_load()["figures"].keys())
 
 
-def figure_info(fig_id: str) -> dict:
-    figures = _load()["figures"]
-    for key, (_host, _coloring, info) in figures.items():
-        if key.lower() == fig_id.lower():
-            return dict(info)
-    raise UnknownId(f"unknown figure id {fig_id!r}")
-
-
 def labeling_cycles(name: str) -> dict[str, object]:
     """Fixed boundary labelings of a catalog embedding, as FaceCycle values.
 
@@ -220,6 +218,17 @@ def case_table(variant: str) -> dict[str, str]:
     if variant not in tables:
         raise UnknownId(f"unknown case table {variant!r}")
     return dict(tables[variant])
+
+
+def frame_classes(name: str) -> tuple[tuple[int, ...], ...]:
+    """One coloring (edge id -> color) of each class of the embedding's
+    colorings, in ``solve_exact`` enumeration order; a class holds the
+    colorings whose non-triangular faces read the same colors up to a
+    renaming within each face."""
+    classes = _load()["classes"]
+    if name not in classes:
+        raise UnknownId(f"no coloring classes for {name!r}")
+    return classes[name]
 
 
 def catalog_embedding(name: str) -> Embedding:

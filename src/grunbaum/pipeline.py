@@ -3,11 +3,12 @@
 The dispatch mirrors the structure theory it implements: grids are colored
 by their edge roles; 4-colorable graphs, every sphere among them, lift a
 vertex coloring; hosts of K7 or of one of the four critical six-chromatic
-graphs are colored by coloring the embedded subgraph (the frame) from a case
-table chosen by reading the triangulated disks in its non-triangular faces,
-then filling every disk behind a frame face from the frame's colors;
-everything else (the open five-chromatic territory) falls back to exhaustive
-search, reported honestly as FOUND or UNKNOWN, never as a theory claim.
+graphs are colored by coloring the embedded subgraph (the frame) with the
+first of its stored coloring classes whose boundary colors every
+triangulated disk in its non-triangular faces takes, then filling every
+disk behind a frame face from the frame's colors; everything else (the
+open five-chromatic territory) falls back to exhaustive search, reported
+honestly as FOUND or UNKNOWN, never as a theory claim.
 """
 from __future__ import annotations
 
@@ -21,10 +22,6 @@ from .coloring import (
     COLORS,
     EdgeColoring,
     PartialColoring,
-    classify_hexagon,
-    classify_pentagon,
-    classify_square,
-    kempe_change,
     tait_lift,
     verify_grunbaum,
 )
@@ -226,110 +223,6 @@ def achievable_square_kinds(
     return region_square_kinds(disk.embedding, disk.as_region(), positions, budget)
 
 
-# square coloring type -> the signature kinds a square of that type shows
-SQUARE_TYPES = {1: frozenset({"A", "B1"}), 2: frozenset({"A", "B2"}),
-                3: frozenset({"C", "B1", "B2"})}
-
-
-def square_disk_type(kinds: frozenset[str]) -> int:
-    """Coloring type of a triangulated square: the first of ``SQUARE_TYPES``
-    whose kinds it achieves.  Every triangulated square has one."""
-    for t, type_kinds in SQUARE_TYPES.items():
-        if type_kinds <= kinds:
-            return t
-    raise NoTableEntry(f"square disk achieves {sorted(kinds)}, which has no type")
-
-
-# -- documented reduction tables ---------------------------------------------------
-
-# pentagon: (sorted signature pair) -> (edge to change, allowed outcomes); the
-# move swaps the singleton color at that edge with the majority color
-PENTAGON_REDUCTIONS_TYPE12 = {
-    (1, 4): (1, ((4, 5), (2, 4))),
-    (3, 4): (3, ((4, 5), (2, 4))),
-    (1, 3): (3, ((1, 2), (1, 4))),
-    (1, 5): (5, ((1, 2), (1, 4))),
-    (2, 3): (3, ((2, 4), (1, 2))),
-    (2, 5): (5, ((2, 4), (1, 2))),
-    (3, 5): (5, ((3, 4), (1, 3))),
-}
-PENTAGON_DIRECT_TYPE12 = frozenset({(2, 4), (1, 2), (4, 5)})
-
-PENTAGON_REDUCTIONS_TYPE3 = {
-    (2, 4): (4, ((2, 3), (2, 5))),
-    (1, 2): (1, ((2, 3), (2, 5))),
-    (1, 5): (1, ((2, 5), (4, 5))),
-    (3, 5): (3, ((2, 5), (4, 5))),
-    (1, 4): (1, ((4, 5), (2, 4))),
-    (3, 4): (3, ((4, 5), (2, 4))),
-    (1, 3): (3, ((1, 2), (1, 4))),
-}
-PENTAGON_DIRECT_TYPE3 = frozenset({(2, 5), (2, 3), (4, 5)})
-
-# hexagon: class -> (chain colors as canonical letters, allowed outcome classes);
-# the move is applied at the first canonical 'p' edge
-HEXAGON_REDUCTIONS = {
-    "tpgtgp": (("p", "g"), ("tpgtpg", "tpptpp")),
-    "tpptgg": (("p", "g"), ("tpptpp", "tpgtpg")),
-    "ttpgpg": (("p", "g"), ("tpptgg", "ttppgg")),
-    "tptppp": (("p", "g"), ("ttpgpg",)),
-    "pppppp": (("p", "t"), ("ttpppp", "tptppp", "tpptpp")),
-}
-HEXAGON_DIRECT = frozenset({"ttpppp", "ttppgg", "tpptpp", "tpgtpg"})
-
-
-@dataclass(frozen=True)
-class CaseEntry:
-    """A shipped coloring resolved from a case table."""
-
-    figure_id: str
-    coloring: PartialColoring
-    info: dict
-
-
-def apply_case_table(variant: str, observed) -> CaseEntry:
-    """Resolve an observed signature combination to a shipped coloring.
-
-    ``observed`` is a type triple for the two square-triple tables, a
-    (pentagon signature, square kind) pair after the documented reductions,
-    a hexagon class name after reductions, or a quadrilateral kind.  The
-    symmetric (4,4,4)_A table is keyed up to the rotation ``rho`` that
-    cycles its squares, and its entry comes back rotated so that its square
-    signatures fit the triple; ``info`` describes the stored figure.
-    NoTableEntry flags combinations the tables do not cover, which the
-    reduction machinery is supposed to rule out, so hitting one is a
-    falsification-grade event.
-    """
-    table = cat.case_table(variant)
-    if variant == "54":
-        sig, kind = observed
-        j, k = sorted(sig)
-        keys = [f"{j};{k}|{kind}"]
-    elif variant in ("444A", "444B"):
-        types = "".join(map(str, observed))
-        keys = [types[i:] + types[:i] for i in range(3 if variant == "444A" else 1)]
-    else:
-        keys = [observed]
-    fig = next((table[key] for key in keys if key in table), None)
-    if fig is None:
-        raise NoTableEntry(f"{variant} has no entry for {observed!r}")
-    coloring = cat.figure_colorings(fig)[1]
-    if variant == "444A":
-        labeling = cat.labeling_cycles("k6-444a")
-        emb = cat.catalog_embedding("k6-444a")
-        for _ in range(3):
-            sigs = [classify_square([coloring[e] for e in cyc.edges]).kind
-                    for cyc in labeling["squares"]]
-            if all(s in SQUARE_TYPES[t] for s, t in zip(sigs, observed)):
-                break
-            # carry the coloring forward along the rotation rho
-            coloring = PartialColoring.from_dict(
-                emb.num_edges, _place(emb, emb, labeling["rho"], coloring, {}))
-        else:
-            raise NoTableEntry(f"no rotation of {fig} fits types {observed}")
-    return CaseEntry(fig, coloring, cat.figure_info(fig))
-
-
 # -- frames: a catalog embedding matched inside a host ------------------------------
 
 @dataclass(frozen=True)
@@ -337,9 +230,6 @@ class Frame:
     name: str                      # catalog embedding or grid id
     cat_emb: Embedding
     vmap: tuple[int, ...]          # catalog vertex -> host vertex
-
-    def host_cycle(self, host: Embedding, cycle: FaceCycle) -> FaceCycle:
-        return _host_cycle(host, self.cat_emb, self.vmap, cycle.darts)
 
 
 def _restrict_rotations(host: Embedding, pattern: Sequence[set[int]],
@@ -376,8 +266,8 @@ def _face_signature(emb: Embedding) -> tuple:
     return fs.census(), sorted(sorted(c) for c in corners)
 
 
-# the six-regular frames, colored by edge role (frame name -> its grid), and
-# every frame's face signature; both are built on import, so that no solve
+# the six-regular frames (frame name -> its grid), every frame's face
+# signature and its coloring classes are built on import, so that no solve
 # pays for them and the first solve makes no more calls than the next
 _GRID_FRAMES = {"k7": cat.gen_altshuler(1, 7, 2), "c11cubed": cat.gen_altshuler(1, 11, 2)}
 
@@ -389,6 +279,13 @@ def _frame_embedding(name: str) -> Embedding:
 
 _FRAME_SIGNATURES = {name: _face_signature(_frame_embedding(name))
                      for names in _PATTERN_FRAMES.values() for name in names}
+
+# frame -> one coloring of each class of its colorings, in probing order:
+# the catalog's classes, or for a six-regular frame, which has only
+# triangles, its one class, the edge roles
+_FRAME_CLASSES = {name: (altshuler_coloring(_GRID_FRAMES[name]),) if name in _GRID_FRAMES
+                  else cat.frame_classes(name)
+                  for names in _PATTERN_FRAMES.values() for name in names}
 
 
 def match_frame(host: Embedding, pattern: str, mapping: Sequence[int]) -> Frame:
@@ -533,201 +430,42 @@ def _verified_report(
                        nodes=budget.used_nodes)
 
 
-# -- the K6 case machinery ------------------------------------------------------------
+# -- coloring the frame ---------------------------------------------------------------
 
 
-def _route_k6_squares(host, frame, budget, trace) -> tuple[PartialColoring, list[Region]]:
-    """(4,4,4) machinery: type each square disk and look up the triple."""
-    variant = "444A" if frame.name == "k6-444a" else "444B"
-    squares = cat.labeling_cycles(frame.name)["squares"]
-    cycles = [frame.host_cycle(host, cyc) for cyc in squares]
-    regions = [cycle_region(host, cyc) for cyc in cycles]
-    kinds = [region_square_kinds(host, region, cyc.edges, budget)
-             for region, cyc in zip(regions, cycles)]
-    types = tuple(square_disk_type(k) for k in kinds)
-    trace.append(f"square types {types}")
-    entry = apply_case_table(variant, types)
-    trace.append(f"table entry {entry.figure_id}")
-    return entry.coloring, regions
+def _color_frame(host: Embedding, frame: Frame, budget: Budget,
+                 trace: list[str]) -> dict[int, int]:
+    """Place the first of the frame's coloring classes whose boundary colors
+    every host region behind a non-triangular frame face takes, fill those
+    regions, and return the host colors (host edge -> color).
 
-
-def _outside_faces(host: Embedding, region: Region) -> set[int]:
-    """The host faces across the region's boundary, which its chains skip."""
-    face_of = trace_faces(host).face_of
-    return {face_of[d ^ 1] for d in region.boundary_darts}
-
-
-def reduce_pentagon_disk(
-    host: Embedding,
-    region: Region,
-    positions: Sequence[int],
-    coloring: PartialColoring,
-    square_type: int,
-) -> tuple[PartialColoring, tuple[int, int], list[str]]:
-    """Walk the documented pentagon reductions until a direct signature.
-
-    ``positions`` are the pentagon's host edges in cycle order.  Each step
-    swaps the singleton color at the prescribed edge with the majority color
-    along its chain inside the region; the outcome must be one of the two
-    signatures the table allows, anything else is a falsification event.
+    Each region is filled on its own, and a fill does not depend on how the
+    colors are named, so one coloring per class decides the class.  No
+    class that fits is a falsification-grade event: NoTableEntry.
     """
-    outside = _outside_faces(host, region)
-    steps: list[str] = []
-    sig = tuple(sorted(classify_pentagon([coloring[p] for p in positions]).positions))
-    if square_type == 3:
-        reductions, direct = PENTAGON_REDUCTIONS_TYPE3, PENTAGON_DIRECT_TYPE3
-    else:
-        reductions, direct = PENTAGON_REDUCTIONS_TYPE12, PENTAGON_DIRECT_TYPE12
-    for _ in range(6):
-        if sig in direct:
-            return coloring, sig, steps
-        step = reductions.get(sig)
-        if step is None:
-            raise NoTableEntry(f"pentagon signature {sig} has no reduction")
-        edge_label, outcomes = step
-        seed = positions[edge_label - 1]
-        observed = [coloring[p] for p in positions]
-        majority = max(set(observed), key=observed.count)
-        coloring = kempe_change(host, coloring, seed, (coloring[seed], majority),
-                                exclude_faces=outside)
-        new_sig = tuple(sorted(classify_pentagon([coloring[p] for p in positions]).positions))
-        if new_sig not in outcomes:
-            raise NoTableEntry(f"documented change {sig}->{outcomes} produced {new_sig}")
-        steps.append(f"pentagon {sig} -> {new_sig}")
-        sig = new_sig
-    raise NoTableEntry("pentagon reductions did not terminate")
-
-
-def _route_k6_54(host, frame, budget, trace) -> tuple[PartialColoring, list[Region]]:
-    labeling = cat.labeling_cycles("k6-54")
-    pent_cyc = frame.host_cycle(host, labeling["pentagon"])
-    pent_region = cycle_region(host, pent_cyc)
-    sq_cyc = frame.host_cycle(host, labeling["square"])
-    sq_region = cycle_region(host, sq_cyc)
-
-    sq_type = square_disk_type(region_square_kinds(host, sq_region, sq_cyc.edges, budget))
-    target_kind = "B1" if sq_type == 3 else "A"
-    trace.append(f"square type {sq_type}, target {target_kind}")
-
-    coloring = apex_solve(host, pent_region, budget=budget)
-    _, sig, steps = reduce_pentagon_disk(host, pent_region, pent_cyc.edges, coloring, sq_type)
-    trace.extend(steps)
-
-    entry = apply_case_table("54", (sig, target_kind))
-    trace.append(f"table entry {entry.figure_id}")
-    return entry.coloring, [pent_region, sq_region]
-
-
-def reduce_hexagon_disk(
-    host: Embedding, region: Region, positions: Sequence[int], coloring: PartialColoring
-) -> tuple[PartialColoring, "object", list[str]]:
-    """Walk the documented hexagon reductions until a direct class.
-
-    ``positions`` are the hexagon's host edges in cycle order.  The move is
-    a Kempe change inside the region at the edge playing the first canonical
-    p, with the chain colors named by the class witness.
-    """
-    outside = _outside_faces(host, region)
-    steps: list[str] = []
-    cls = classify_hexagon([coloring[p] for p in positions])
-    for _ in range(6):
-        if cls.name in HEXAGON_DIRECT:
-            return coloring, cls, steps
-        letters, outcomes = HEXAGON_REDUCTIONS[cls.name]
-        letter_color = _letter_colors([coloring[p] for p in positions], cls)
-        seed = positions[cls.observed_position(cls.name.index("p"))]
-        coloring = kempe_change(host, coloring, seed,
-                                (letter_color[letters[0]], letter_color[letters[1]]),
-                                exclude_faces=outside)
-        new_cls = classify_hexagon([coloring[p] for p in positions])
-        if new_cls.name not in outcomes:
-            raise NoTableEntry(
-                f"documented change {cls.name}->{outcomes} produced {new_cls.name}"
-            )
-        steps.append(f"hexagon {cls.name} -> {new_cls.name}")
-        cls = new_cls
-    raise NoTableEntry("hexagon reductions did not terminate")
-
-
-def _route_k6_hex(host, frame, budget, trace) -> tuple[EdgeColoring, list[Region]]:
-    labeling = cat.labeling_cycles("k6-6")
-    hex_cat = labeling["hexagon"]
-    hex_cyc = frame.host_cycle(host, hex_cat)
-    region = cycle_region(host, hex_cyc)
-
-    coloring = apex_solve(host, region, budget=budget)
-    coloring, cls, steps = reduce_hexagon_disk(host, region, hex_cyc.edges, coloring)
-    trace.extend(steps)
-
-    entry = apply_case_table("6", cls.name)
-    trace.append(f"table entry {entry.figure_id}")
-    # the hexagonal embedding realizes every exact coloring of each direct
-    # class, so pin the disk's colors on the frame and re-solve it
-    pins = {ce: coloring[pe] for ce, pe in zip(hex_cat.edges, hex_cyc.edges)}
-    frame_coloring = color_faces(frame.cat_emb, budget, pins)
-    if frame_coloring is None:
-        raise NoTableEntry(f"frame cannot match hexagon class {cls.name}")
-    return frame_coloring, [region]
-
-
-def _letter_colors(observed: Sequence[int], cls) -> dict[str, int]:
-    """Map canonical letters t, p, g to the actual colors of this reading."""
-    mapping: dict[str, int] = {}
-    for canonical_pos, letter in enumerate(cls.name):
-        color = observed[cls.observed_position(canonical_pos)]
-        mapping.setdefault(letter, color)
-    # letters absent from the class string keep any unused color
-    for letter, color in zip("tpg", COLORS):
-        if letter not in mapping:
-            unused = [c for c in COLORS if c not in mapping.values()]
-            mapping[letter] = unused[0] if unused else color
-    return mapping
-
-
-def _route_quadface(host, frame, budget, trace) -> tuple[PartialColoring, list[Region]]:
-    """Hosts of the two non-K6 critical graphs with a quadrilateral face."""
-    variant = "H7K2" if frame.name == "h7k2" else "C3C5"
-    labeling = cat.labeling_cycles(frame.name)
-    quad_cat = labeling["quad"]
-    quad_cyc = frame.host_cycle(host, quad_cat)
-    region = cycle_region(host, quad_cyc)
-
-    coloring = apex_solve(host, region, budget=budget)
-    kind = classify_square([coloring[e] for e in quad_cyc.edges]).kind
-    if kind == "A":
-        raise NoTableEntry(
-            "apex construction produced an alternating square, which the "
-            "apex triangle argument rules out"
-        )
-    trace.append(f"quad class {kind}")
-    entry = apply_case_table(variant, kind)
-    trace.append(f"table entry {entry.figure_id}")
-    return entry.coloring, [region]
-
-
-def _route_six_regular(host, frame, budget, trace) -> tuple[EdgeColoring, list[Region]]:
-    """K7 or C11^3 inside the host: the frame is a grid triangulation, so
-    color it by edge role; it has no other faces than triangles."""
-    trace.append("grid labeling recognized")
-    return altshuler_coloring(_GRID_FRAMES[frame.name]), []
+    regions = [cycle_region(host, _host_cycle(host, frame.cat_emb, frame.vmap, face))
+               for face in trace_faces(frame.cat_emb).faces if len(face) > 3]
+    classes = _FRAME_CLASSES[frame.name]
+    for i, coloring in enumerate(classes):
+        out = _place(host, frame.cat_emb, frame.vmap, coloring, {})
+        if all(fill_region(host, region, out, budget) is not None for region in regions):
+            trace.append(f"{frame.name} class {i} of {len(classes)}")
+            return out
+    raise NoTableEntry(f"no coloring class of frame {frame.name} fits the disks in its faces")
 
 
 # -- the dispatch ---------------------------------------------------------------------
 
-# frame -> (method, route); a route reads the disks behind the frame's
-# non-triangular faces and picks its table entry, and returns the frame
-# coloring (frame edge -> color) with the host regions of those faces; it
-# puts no color on the host.  solve places the frame coloring, fills every
-# returned region and the region behind each triangle from it, and verifies
+# frame -> the method a FOUND on it reports
 _ROUTES = {
-    "k7": ("K7", _route_six_regular),
-    "c11cubed": ("CRITICAL(C11CUBED)", _route_six_regular),
-    "k6-444a": ("CRITICAL(444A)", _route_k6_squares),
-    "k6-444b": ("CRITICAL(444B)", _route_k6_squares),
-    "k6-54": ("CRITICAL(54)", _route_k6_54),
-    "k6-6": ("CRITICAL(6)", _route_k6_hex),
-    "h7k2": ("CRITICAL(H7K2)", _route_quadface),
-    "c3c5": ("CRITICAL(C3C5)", _route_quadface),
+    "k7": "K7",
+    "c11cubed": "CRITICAL(C11CUBED)",
+    "k6-444a": "CRITICAL(444A)",
+    "k6-444b": "CRITICAL(444B)",
+    "k6-54": "CRITICAL(54)",
+    "k6-6": "CRITICAL(6)",
+    "h7k2": "CRITICAL(H7K2)",
+    "c3c5": "CRITICAL(C3C5)",
 }
 
 
@@ -739,15 +477,16 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
     a triangulation of genus 0 or 1, and a torus is first recognized as a
     grid if it is one.  Then every input tries the vertex-coloring lift,
     which colors every sphere; a sphere it fails is reported UNSAT, which
-    the four color theorem rules out.  A torus goes on: hosts of K7 via
-    the grid coloring of K7; hosts of a critical six-chromatic graph via
-    its case machinery.  Either route returns a coloring of its frame and
-    the host regions of the frame's non-triangular faces; ``solve`` places
-    the frame coloring on the host and fills each of those regions, and
-    the region behind each of the frame's triangles, from the frame's
-    boundary colors (:func:`fill_region`).  What remains is five-chromatic
-    and goes to exhaustive search, which cannot claim anything beyond what
-    it finds.
+    the four color theorem rules out.  A torus goes on: a host of K7 or of
+    a critical six-chromatic graph has that graph's frame matched in it,
+    and the frame's coloring classes are probed in their stored order.  A
+    probe places the class's coloring on the host and fills each region
+    behind a non-triangular frame face from its boundary colors
+    (:func:`fill_region`); the first class whose fills all succeed wins,
+    and the region behind each of the frame's triangles is filled from it.
+    K7 and C11^3 have only triangles and one class, their edge roles.  What
+    remains is five-chromatic and goes to exhaustive search, which cannot
+    claim anything beyond what it finds.
 
     After a failed 4-coloring, one 5-coloring gates the subgraph search.  K7
     and the four critical graphs are six-chromatic, so a 5-colorable host
@@ -800,14 +539,11 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
                     frame = match_frame(emb, match.pattern, match.mapping)
                     if match.pattern == "K6":
                         trace.append(f"embedding variant {frame.name}")
-                    stage, route = _ROUTES[frame.name]
-                    frame_coloring, regions = route(emb, frame, budget, trace)
-                    out = _place(emb, frame.cat_emb, frame.vmap, frame_coloring, {})
-                    for region in regions:
-                        _fill(emb, region, out, budget)
+                    stage = _ROUTES[frame.name]
+                    out = _color_frame(emb, frame, budget, trace)
                     _extend_over_triangles(emb, frame.cat_emb, frame.vmap, out, budget)
                     if len(out) != emb.num_edges:
-                        raise NoTableEntry("case machinery did not cover every edge")
+                        raise NoTableEntry("the frame's faces do not cover every edge")
                     coloring = EdgeColoring(tuple(out[e] for e in range(emb.num_edges)))
                     report = _verified_report(emb, coloring, stage, trace, budget, stage)
                 else:

@@ -55,20 +55,19 @@ from grunbaum.embedding import (
 )
 from grunbaum.errors import BadParity, NoTableEntry
 from grunbaum.fileio import write_embedding
-from grunbaum.pipeline import (
+from grunbaum.pipeline import achievable_square_kinds, solve
+from grunbaum.solver import Budget, solve_exact
+from paper_cases import (
     HEXAGON_DIRECT,
     PENTAGON_DIRECT_TYPE3,
     PENTAGON_DIRECT_TYPE12,
     PENTAGON_REDUCTIONS_TYPE3,
     PENTAGON_REDUCTIONS_TYPE12,
-    achievable_square_kinds,
     apply_case_table,
     reduce_hexagon_disk,
     reduce_pentagon_disk,
-    solve,
     square_disk_type,
 )
-from grunbaum.solver import Budget, solve_exact
 
 
 def _report(n: int, failures: list, summary: str):

@@ -6,6 +6,7 @@ from grunbaum.catalog import (
     enumerate_disks,
     figure_colorings,
     figure_ids,
+    frame_classes,
     gen_altshuler,
     gen_k6,
     gen_named,
@@ -14,12 +15,14 @@ from grunbaum.catalog import (
     triangulate_faces,
 )
 from grunbaum.chroma import chromatic_number
-from grunbaum.coloring import verify_partial
+from grunbaum.coloring import PartialColoring, verify_partial
 from grunbaum.embedding import genus, is_triangulation, trace_faces
 from grunbaum.errors import NotSimple, UnknownId
 from grunbaum.isomorphism import embeddings_isomorphic
 from grunbaum.pipeline import altshuler_coloring
 from grunbaum.coloring import verify_grunbaum
+from grunbaum.solver import solve_exact
+from paper_cases import class_key
 
 
 def test_altshuler_basic_family():
@@ -166,6 +169,25 @@ def test_case_tables_complete_keys():
     assert len(case_table("6")) == 4
     assert set(case_table("H7K2")) == {"C", "B1", "B2"}
     assert set(case_table("C3C5")) == {"C", "B1", "B2"}
+
+
+def test_frame_classes_match_a_fresh_enumeration():
+    # one stored coloring per class, the first seen in enumeration order,
+    # and each a valid coloring of its frame
+    counts = {}
+    for name in ("k6-54", "k6-6", "k6-444a", "k6-444b", "h7k2", "c3c5"):
+        emb = catalog_embedding(name)
+        fresh = {}
+        for coloring in solve_exact(emb, mode="enumerate"):
+            fresh.setdefault(class_key(emb, coloring), coloring.colors)
+        stored = frame_classes(name)
+        assert stored == tuple(fresh.values()), name
+        assert all(verify_partial(emb, PartialColoring(c)).ok for c in stored)
+        counts[name] = len(stored)
+    assert counts == {"k6-54": 57, "k6-6": 12, "k6-444a": 257, "k6-444b": 257,
+                      "h7k2": 4, "c3c5": 4}
+    with pytest.raises(UnknownId):
+        frame_classes("k7")
 
 
 def test_labeling_cycles_resolve():

@@ -20,6 +20,7 @@ from grunbaum.catalog import (
     case_table,
     catalog_embedding,
     enumerate_disks,
+    frame_classes,
     gen_altshuler,
     gen_k6,
     gen_named,
@@ -55,12 +56,10 @@ from grunbaum.pipeline import (
     achievable_square_kinds,
     altshuler_coloring,
     apex_solve,
-    apply_case_table,
     extend_into_faces,
     recognize_grid_coloring,
     solve,
     solve_disk,
-    square_disk_type,
 )
 from grunbaum import chroma, pipeline
 from grunbaum.coloring import EdgeColoring
@@ -68,6 +67,7 @@ from grunbaum.fileio import read_embedding, write_embedding
 from grunbaum.solver import Budget, color_vertices_k, four_color_vertices, solve_exact
 
 from corpus import torus_census
+from paper_cases import apply_case_table, case_coloring, frame_of, square_disk_type
 
 DISPATCH_PATTERNS = ("K7", *CRITICAL_PATTERNS)
 K4 = build_embedding([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
@@ -275,7 +275,8 @@ def test_444a_route_rotates_its_table_entry():
     report = solve(host)
     assert report.found and report.method == "CRITICAL(444A)"
     assert verify_grunbaum(host, report.coloring).ok
-    (types,) = [t for t in report.trace if t.startswith("square types")]
+    _, case_trace = case_coloring(host, frame_of(host))
+    (types,) = [t for t in case_trace if t.startswith("square types")]
     triple = "".join(c for c in types if c.isdigit())
     assert triple not in case_table("444A")
 
@@ -553,13 +554,13 @@ def test_solve_verifies_once_on_every_route(name, monkeypatch):
     assert len(calls) == 1
 
 
-# fill_region calls by boundary length: solve fills each disk behind a frame
-# face once, from the frame coloring; the square kinds of the 444A and 54
-# squares are read with four pinned fills each before that
+# fill_region calls by boundary length: solve fills each disk behind a
+# non-triangular frame face once per coloring class it probes; these hosts
+# fit their frame's first class, the hexagon host its third
 FILLS_BY_BOUNDARY = {
-    "CRITICAL(444A)": {4: 15},
-    "CRITICAL(54)": {4: 5, 5: 1},
-    "CRITICAL(6)": {6: 1},
+    "CRITICAL(444A)": {4: 3},
+    "CRITICAL(54)": {4: 1, 5: 1},
+    "CRITICAL(6)": {6: 3},
     "CRITICAL(H7K2)": {4: 1},
     "CRITICAL(C3C5)": {4: 1},
 }
@@ -580,6 +581,56 @@ def test_solve_fills_every_disk_from_the_frame_coloring(method, monkeypatch):
     assert report.found and report.method == method
     assert verify_grunbaum(host, report.coloring).ok
     assert dict(boundaries) == FILLS_BY_BOUNDARY[method]
+
+
+@pytest.mark.parametrize("method", FILLS_BY_BOUNDARY)
+def test_no_class_that_fits_raises_naming_the_frame(method, monkeypatch):
+    # with every fill refused, each class is probed once, on its first
+    # region, and the solve raises rather than report anything
+    probes = []
+
+    def refused(host, region, out, budget=None):
+        probes.append(region)
+        return None
+
+    host = ROUTE_HOSTS[method]()
+    name = frame_of(host).name
+    monkeypatch.setattr(pipeline, "fill_region", refused)
+    with pytest.raises(NoTableEntry, match=f"frame {name} "):
+        solve(host)
+    assert len(probes) == len(frame_classes(name))
+
+
+# torus triangulations with 9 and 10 vertices (tests/corpus.py's census)
+# whose frame's first coloring classes do not fit their disks
+LATE_CLASS_HOSTS = {
+    "k6-54 class 2 of 57": ("CRITICAL(54)", [
+        [2, 8, 6, 7], [4, 3, 7, 8], [7, 3, 6, 5, 4, 8, 0], [4, 6, 2, 7, 1],
+        [5, 7, 6, 3, 1, 8, 2], [6, 8, 7, 4, 2], [7, 0, 8, 5, 2, 3, 4],
+        [8, 1, 3, 2, 0, 6, 4, 5], [0, 2, 4, 1, 7, 5, 6]]),
+    "k6-54 class 12 of 57": ("CRITICAL(54)", [
+        [2, 9, 7, 8], [2, 4, 3, 8, 6], [8, 3, 5, 4, 1, 6, 9, 0], [4, 6, 5, 2, 8, 1],
+        [5, 8, 7, 6, 3, 1, 2], [6, 8, 4, 2, 3], [7, 9, 2, 1, 8, 5, 3, 4], [8, 0, 9, 6, 4],
+        [1, 3, 2, 0, 7, 4, 5, 6], [0, 2, 6, 7]]),
+    "k6-6 class 4 of 12": ("CRITICAL(6)", [
+        [3, 2, 4, 1, 6, 7], [6, 0, 4, 3, 7, 8], [3, 5, 4, 0], [4, 6, 5, 2, 0, 7, 1],
+        [5, 7, 6, 3, 1, 0, 2], [6, 8, 7, 4, 2, 3], [7, 0, 1, 8, 5, 3, 4],
+        [8, 1, 3, 0, 6, 4, 5], [1, 7, 5, 6]]),
+    "h7k2 class 2 of 4": ("CRITICAL(H7K2)", [
+        [1, 4, 8, 6, 7], [2, 4, 0, 7, 8], [3, 5, 4, 1, 8], [4, 6, 5, 2, 8],
+        [5, 7, 6, 3, 8, 0, 1, 2], [6, 8, 7, 4, 2, 3], [7, 0, 8, 5, 3, 4],
+        [8, 1, 0, 6, 4, 5], [0, 4, 3, 2, 1, 7, 5, 6]]),
+}
+
+
+@pytest.mark.parametrize("probe", LATE_CLASS_HOSTS)
+def test_solve_probes_past_classes_that_do_not_fit(probe):
+    method, rotations = LATE_CLASS_HOSTS[probe]
+    host = build_embedding(rotations)
+    report = solve(host)
+    assert report.found and report.method == method
+    assert report.trace[-1] == probe
+    assert verify_grunbaum(host, report.coloring).ok
 
 
 @pytest.mark.parametrize("method", list(ROUTE_HOSTS))

@@ -1,20 +1,21 @@
 """Disks solved on the host agree with the same disks cut out.
 
-The structural routes fill the region behind each frame triangle, type
-and fill each square region, and color and Kempe-reduce the free pentagon,
-hexagon and quadrilateral, all on the host itself (``cycle_region``,
-``fill_region``, ``apex_solve`` and the ``reduce_*`` walks).  For every such
-cycle of the toroidal corpus hosts, as given, mirrored and relabelled, the
-disk cut out for the same cycle (``extract_disk``), solved as a region of
-its own embedding, must give the same colors, the same node count, the same
-square kinds and the same reductions.  A structural solve builds no
-embedding beyond its frame's.
+The structural route fills the region behind every frame face on the host
+itself (``cycle_region``, ``fill_region``), and the paper's case analysis
+(``paper_cases``) types the square regions and colors and Kempe-reduces the
+free pentagon, hexagon and quadrilateral there too (``apex_solve`` and the
+``reduce_*`` walks).  For every such cycle of the toroidal corpus hosts, as
+given, mirrored and relabelled, the disk cut out for the same cycle
+(``extract_disk``), solved as a region of its own embedding, must give the
+same colors, the same node count, the same square kinds and the same
+reductions.  A structural solve builds no embedding beyond its frame's, and
+the case analysis's entry lies in a class that fits every disk.
 """
 import random
+from collections import Counter
 
-from corpus import toroidal_corpus
-from grunbaum.catalog import labeling_cycles
-from grunbaum.chroma import dispatch_match, five_core
+from corpus import toroidal_corpus, torus_census
+from grunbaum.catalog import frame_classes, labeling_cycles
 from grunbaum.coloring import tait_lift
 from grunbaum.embedding import (
     Embedding,
@@ -29,14 +30,20 @@ from grunbaum.pipeline import (
     achievable_square_kinds,
     apex_solve,
     fill_region,
-    match_frame,
-    reduce_hexagon_disk,
-    reduce_pentagon_disk,
     region_square_kinds,
     solve,
     solve_disk,
 )
 from grunbaum.solver import Budget
+from paper_cases import (
+    case_coloring,
+    class_key,
+    fills_every_disk,
+    frame_of,
+    host_cycle,
+    reduce_hexagon_disk,
+    reduce_pentagon_disk,
+)
 
 STRUCTURAL = ("K7", "CRITICAL(444A)", "CRITICAL(444B)", "CRITICAL(54)", "CRITICAL(6)",
               "CRITICAL(H7K2)", "CRITICAL(C3C5)", "CRITICAL(C11CUBED)")
@@ -63,20 +70,15 @@ def _hosts():
 FREE = {"k6-54": "pentagon", "k6-6": "hexagon", "h7k2": "quad", "c3c5": "quad"}
 
 
-def _frame(host):
-    match = dispatch_match(five_core(host.adjacency()))
-    return match_frame(host, match.pattern, match.mapping)
-
-
 def _cycles(host):
     """The frame's triangles and its pinned squares, as host cycles."""
-    frame = _frame(host)
+    frame = frame_of(host)
     triangles = [FaceCycle(face) for face in trace_faces(frame.cat_emb).faces
                  if len(face) == 3]
     labeling = labeling_cycles(frame.name) if frame.name.startswith("k6-") else {}
     squares = labeling.get("squares", [labeling["square"]] if "square" in labeling else [])
-    return ([frame.host_cycle(host, c) for c in triangles],
-            [frame.host_cycle(host, c) for c in squares])
+    return ([host_cycle(host, frame, c) for c in triangles],
+            [host_cycle(host, frame, c) for c in squares])
 
 
 def _disk(host, cycle):
@@ -148,11 +150,11 @@ def _reduced(reduce, *args):
 def test_free_disks_agree_with_cut_out_disks():
     seen = {"pentagon": 0, "hexagon": 0, "quad": 0, "steps": 0}
     for host in _hosts():
-        frame = _frame(host)
+        frame = frame_of(host)
         shape = FREE.get(frame.name)
         if shape is None:
             continue
-        cycle = frame.host_cycle(host, labeling_cycles(frame.name)[shape])
+        cycle = host_cycle(host, frame, labeling_cycles(frame.name)[shape])
         region = cycle_region(host, cycle)
         disk, positions = _disk(host, cycle)
         ours, theirs = Budget(), Budget()
@@ -198,3 +200,33 @@ def test_structural_solve_builds_only_the_frame_embedding(monkeypatch):
         report = solve(host)
         assert report.method in STRUCTURAL
         assert len(built) == 1, report.method
+
+
+def test_case_table_entries_lie_in_classes_that_fit():
+    # the paper's case analysis picks a frame coloring from the disks; the
+    # class that holds it fits every disk, and the solve takes the first
+    # class that fits, which comes no later.  K7's and C11^3's frames have
+    # only triangles, and no table.
+    tabled = [m for m in STRUCTURAL if m not in ("K7", "CRITICAL(C11CUBED)")]
+    hosts = [inst.graph for inst in toroidal_corpus() if inst.expected_method in tabled]
+    hosts += [host for n in (7, 8, 9) for host in torus_census(n)]
+    seen = Counter()
+    for host in hosts:
+        report = solve(host)
+        if report.method not in tabled:
+            continue
+        frame = frame_of(host)
+        classes = frame_classes(frame.name)
+        keys = [class_key(frame.cat_emb, c) for c in classes]
+        entry, _ = case_coloring(host, frame)
+        index = keys.index(class_key(frame.cat_emb, entry))
+        assert fills_every_disk(host, frame, classes[index])
+        name, _, probe = report.trace[-1].partition(" class ")
+        probed = int(probe.split()[0])
+        assert name == frame.name and probed <= index
+        assert fills_every_disk(host, frame, classes[probed])
+        assert not any(fills_every_disk(host, frame, c) for c in classes[:probed])
+        seen[frame.name, probed > 0] += 1
+    assert {name for name, _ in seen} == {"k6-444a", "k6-444b", "k6-54", "k6-6",
+                                          "h7k2", "c3c5"}
+    assert sum(count for (_, late), count in seen.items() if late) > 10, seen

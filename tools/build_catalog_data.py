@@ -3,7 +3,11 @@
 The rotation systems below were derived once by exhaustive search over face
 censuses (see embed_search.py) and are frozen here; this script re-validates
 them, re-derives every bundled coloring deterministically (first hit in
-enumeration/solve order), and rewrites the data files and manifest.
+enumeration/solve order), and rewrites the data files and manifest.  The
+manifest's ``frame_classes`` lists, per frame with a non-triangular face,
+one coloring of each class of its colorings, in enumeration order; a class
+holds the colorings whose non-triangular faces read the same colors up to
+a renaming within each face.
 
 Run from the repository root:  python3 tools/build_catalog_data.py
 """
@@ -69,6 +73,10 @@ EXPECTED = {
 }
 
 
+# the frames with a non-triangular face, which the solve colors by class
+FRAMES = ("k6-54", "k6-6", "k6-444a", "k6-444b", "h7k2", "c3c5")
+
+
 def dart_pairs(emb: Embedding, darts) -> list[list[int]]:
     return [[emb.tail(d), emb.head(d)] for d in darts]
 
@@ -97,9 +105,22 @@ def pentagon_sig(coloring, emb: Embedding, pairs):
         return None
 
 
+def coloring_classes(emb: Embedding) -> list[str]:
+    """The first coloring of each class, in ``solve_exact`` enumeration
+    order, as one digit per edge id."""
+    fs = trace_faces(emb)
+    faces = [fs.face_edges(f) for f in range(fs.num_faces) if fs.size(f) > 3]
+    classes: dict[tuple[str, ...], str] = {}
+    for c in solve_exact(emb, mode="enumerate"):
+        key = tuple(canonical_letters([c[e] for e in face]) for face in faces)
+        classes.setdefault(key, "".join(map(str, c.colors)))
+    return list(classes.values())
+
+
 def main():
     DATA.mkdir(exist_ok=True)
-    manifest: dict = {"embeddings": {}, "labelings": {}, "figures": {}, "case_tables": {}}
+    manifest: dict = {"embeddings": {}, "labelings": {}, "figures": {}, "case_tables": {},
+                      "frame_classes": {}}
 
     embs: dict[str, Embedding] = {}
     for name, rot in ROTATIONS.items():
@@ -277,6 +298,9 @@ def main():
     }
     manifest["case_tables"]["H7K2"] = {"C": "fig2-H7K2-1", "B1": "fig2-H7K2-2", "B2": "fig2-H7K2-3"}
     manifest["case_tables"]["C3C5"] = {"C": "fig2-C3C5-1", "B1": "fig2-C3C5-2", "B2": "fig2-C3C5-3"}
+
+    for name in FRAMES:
+        manifest["frame_classes"][name] = coloring_classes(embs[name])
 
     (DATA / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     print(f"wrote {len(manifest['embeddings'])} embeddings, {len(figures)} colorings")
