@@ -9,6 +9,13 @@ triangulated disk in its non-triangular faces takes, then filling every
 disk behind a frame face from the frame's colors; everything else (the
 open five-chromatic territory) falls back to exhaustive search, reported
 honestly as FOUND or UNKNOWN, never as a theory claim.
+
+The frame routes and the exhaustive search run on the torus with its
+stellations removed (:func:`remove_stellations`).  A vertex x of degree 3
+sits in the face abc that its removal leaves, and its edges are forced: xa
+takes the color of bc, xb that of ca, xc that of ab.  So the colorings of
+the host and of its base correspond one to one, and the base's coloring is
+put back on the host (:func:`restore_stellations`) before it is verified.
 """
 from __future__ import annotations
 
@@ -55,6 +62,7 @@ from .solver import (
     color_faces,
     color_vertices_k,
     four_color_vertices,
+    peel_order,
 )
 
 # -- grid coloring -----------------------------------------------------------------
@@ -412,6 +420,64 @@ def extend_into_faces(
     return coloring
 
 
+# -- stellations ----------------------------------------------------------------------
+
+
+def remove_stellations(
+    host: Embedding, budget: Budget
+) -> tuple[Embedding, list[tuple[int, int, int, int]]]:
+    """A torus triangulation without its stellations: its degree-3 vertices
+    are removed one at a time, with those that removals bring down to
+    degree 3, until none is left (``peel_order`` with k = 4); the budget
+    ticks once per removal.
+
+    Returns the base and the removed vertices, each with its three
+    neighbours at removal (host ids), in removal order.  The base keeps the
+    other vertices in increasing id order, so its edges keep the host's
+    order; with no degree-3 vertex it is the host itself.  On a torus the
+    neighbours of a degree-3 vertex bound a face once it is gone, and no
+    degree falls below 3, so the base is the host's 4-core and a torus
+    triangulation.  Its colorings and the host's correspond one to one
+    (:func:`restore_stellations`).
+    """
+    order = peel_order(host.rotations, 4)
+    rank = {x: i for i, x in enumerate(order)}
+    removed = []
+    for i, x in enumerate(order):
+        budget.tick()
+        a, b, c = [w for w in host.rotation(x) if rank.get(w, len(order)) > i]
+        removed.append((x, a, b, c))
+    if not removed:
+        return host, removed
+    kept = [v for v in range(host.num_vertices) if v not in rank]
+    base_id = dict(zip(kept, range(len(kept))))
+    return Embedding([[base_id[w] for w in host.rotation(v) if w not in rank]
+                      for v in kept]), removed
+
+
+def restore_stellations(host: Embedding, removed: Sequence[tuple[int, int, int, int]],
+                        colors) -> EdgeColoring:
+    """The host coloring that a coloring of its base (``colors``, indexed by
+    base edge) determines; ``removed`` is what :func:`remove_stellations`
+    removed from the host.
+
+    The removed vertices come back in reverse removal order.  Vertex x with
+    neighbours a, b, c sits inside the face abc, whose edges hold three
+    colors, and each of its faces forces its edge to the color of the
+    opposite side: xa takes the color of bc, xb that of ca, xc that of ab.
+    """
+    gone = {x for x, *_ in removed}
+    out: list[int] = [0] * host.num_edges
+    # the base's edges are the host's between kept vertices, in host order
+    kept_edges = (e for e, (u, v) in enumerate(host.edges) if u not in gone and v not in gone)
+    for i, e in enumerate(kept_edges):
+        out[e] = colors[i]
+    for x, a, b, c in reversed(removed):
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            out[host.edge_id(x, u)] = out[host.edge_id(v, w)]
+    return EdgeColoring(tuple(out))
+
+
 def _verified_report(
     emb: Embedding,
     coloring: EdgeColoring,
@@ -477,10 +543,11 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
     a triangulation of genus 0 or 1, and a torus is first recognized as a
     grid if it is one.  Then every input tries the vertex-coloring lift,
     which colors every sphere; a sphere it fails is reported UNSAT, which
-    the four color theorem rules out.  A torus goes on: a host of K7 or of
-    a critical six-chromatic graph has that graph's frame matched in it,
-    and the frame's coloring classes are probed in their stored order.  A
-    probe places the class's coloring on the host and fills each region
+    the four color theorem rules out.  A torus goes on without its
+    stellations (below): a host of K7 or of a critical six-chromatic graph
+    has that graph's frame matched in it, and the frame's coloring classes
+    are probed in their stored order.  A probe places the class's coloring
+    on the host and fills each region
     behind a non-triangular frame face from its boundary colors
     (:func:`fill_region`); the first class whose fills all succeed wins,
     and the region behind each of the frame's triangles is filled from it.
@@ -488,12 +555,30 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
     remains is five-chromatic and goes to exhaustive search, which cannot
     claim anything beyond what it finds.
 
-    After a failed 4-coloring, one 5-coloring gates the subgraph search.  K7
-    and the four critical graphs are six-chromatic, so a 5-colorable host
-    contains none of them and goes straight to exhaustive search.  Otherwise
-    the patterns (minimum degree >= 5) are searched on the host's 5-core,
-    which yields the same first match as the whole host; exactly one match
-    is expected, and zero or several raise ClassificationAnomaly.
+    After a failed 4-coloring, the torus's degree-3 vertices are removed,
+    cascade included, one budget tick each (:func:`remove_stellations`),
+    and everything after runs on that base.  Removing a degree-3 vertex x
+    leaves the face abc of its neighbours, and x's edges are forced to the
+    colors of the opposite sides (xa that of bc, xb of ca, xc of ab), so the
+    colorings of the host and the base correspond one to one: a class fits
+    the one exactly when it fits the other, and EXACT finds a coloring on
+    the one exactly when it does on the other.  A vertex of degree 3 is in
+    no pattern copy (each has minimum degree 5), so the match, the frame and
+    every trace line are those of the whole host.  The base's coloring is
+    put back on the host (:func:`restore_stellations`), removed vertices in
+    reverse order, before the one verification.  The lift does not take the
+    reduction: the vertex engine already peels every degree-3 vertex, at a
+    tick each, and its DSATUR search breaks ties by degree in the whole
+    graph, which loses the stellations' degrees on the base; reducing before
+    the 4-coloring made ``lift`` about 11-15% slower and tripled the tail of
+    ``exact`` (bench/run.py).
+
+    One 5-coloring of the base gates the subgraph search.  K7 and the four
+    critical graphs are six-chromatic, so a 5-colorable host contains none
+    of them and goes straight to exhaustive search.  Otherwise the patterns
+    (minimum degree >= 5) are searched on the base's 5-core, which yields
+    the same first match as the whole host; exactly one match is expected,
+    and zero or several raise ClassificationAnomaly.
 
     Every route's coloring, the grid's included, is checked exactly once,
     by ``_verified_report``: FOUND only if it passes, else UNKNOWN named
@@ -502,8 +587,9 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
 
     Every sub-search spends the one budget.  When it runs out, the report is
     UNKNOWN, and its method and last trace entry name the stage: 4-coloring,
-    subgraph search, the route's method (e.g. K7) or exact search.  The
-    report's ``millis`` is the whole solve's wall time.
+    subgraph search (the removal of the stellations included), the route's
+    method (e.g. K7) or exact search.  The report's ``millis`` is the whole
+    solve's wall time.
     """
     started = time.perf_counter()
     budget = budget or Budget()
@@ -532,31 +618,31 @@ def solve(emb, budget: Budget | None = None) -> SolveReport:
             else:
                 trace.append("not 4-colorable")
                 stage = "subgraph search"
-                if color_vertices_k(adj, 5, budget=budget) is None:
-                    match = dispatch_match(five_core(adj), budget)
+                base, removed = remove_stellations(emb, budget)
+                base_adj = base.adjacency()
+                if color_vertices_k(base_adj, 5, budget=budget) is None:
+                    match = dispatch_match(five_core(base_adj), budget)
                     trace.append("contains K7" if match.pattern == "K7"
                                  else f"critical subgraph {match.pattern}")
-                    frame = match_frame(emb, match.pattern, match.mapping)
+                    frame = match_frame(base, match.pattern, match.mapping)
                     if match.pattern == "K6":
                         trace.append(f"embedding variant {frame.name}")
-                    stage = _ROUTES[frame.name]
-                    out = _color_frame(emb, frame, budget, trace)
-                    _extend_over_triangles(emb, frame.cat_emb, frame.vmap, out, budget)
-                    if len(out) != emb.num_edges:
+                    stage = method = _ROUTES[frame.name]
+                    colors = _color_frame(base, frame, budget, trace)
+                    _extend_over_triangles(base, frame.cat_emb, frame.vmap, colors, budget)
+                    if len(colors) != base.num_edges:
                         raise NoTableEntry("the frame's faces do not cover every edge")
-                    coloring = EdgeColoring(tuple(out[e] for e in range(emb.num_edges)))
-                    report = _verified_report(emb, coloring, stage, trace, budget, stage)
                 else:
                     # five-chromatic territory: search, and say so
                     trace.append("no critical subgraph: five-chromatic, exhaustive search")
-                    stage = "exact search"
-                    coloring = color_faces(emb, budget)
-                    if coloring is None:
-                        report = SolveReport(UNSAT, method="EXACT", trace=tuple(trace),
-                                             nodes=budget.used_nodes)
-                    else:
-                        report = _verified_report(emb, coloring, "EXACT", trace, budget,
-                                                  "exact search")
+                    stage, method = "exact search", "EXACT"
+                    colors = color_faces(base, budget)
+                if colors is None:
+                    report = SolveReport(UNSAT, method=method, trace=tuple(trace),
+                                         nodes=budget.used_nodes)
+                else:
+                    coloring = restore_stellations(emb, removed, colors)
+                    report = _verified_report(emb, coloring, method, trace, budget, stage)
         except BudgetExceeded as exc:
             report = SolveReport(UNKNOWN, method=stage, trace=(*trace, f"{stage}: {exc}"),
                                  nodes=budget.used_nodes)

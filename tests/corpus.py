@@ -20,6 +20,8 @@ from grunbaum.catalog import (
 from grunbaum.chroma import chromatic_number
 from grunbaum.embedding import (
     Embedding,
+    FaceCycle,
+    extract_disk,
     genus,
     is_triangulation,
     splice_disk,
@@ -70,6 +72,18 @@ def nondominating_hexagon_disks(max_interior: int):
             continue
         out.append(d)
     return out
+
+
+def with_octahedral_disk(emb: Embedding) -> Embedding:
+    """The embedding with the octahedron minus a face spliced into its
+    first triangular face: three new vertices of degree 4, which no removal
+    of degree-3 vertices (``pipeline.remove_stellations``) reaches, so the
+    region behind that face keeps a search of its own."""
+    octahedron = gen_named("octahedron")
+    cycle = FaceCycle.from_darts(octahedron, trace_faces(octahedron).faces[0])
+    fs = trace_faces(emb)
+    face = next(f for f in range(fs.num_faces) if fs.size(f) == 3)
+    return splice_disk(emb, face, extract_disk(octahedron, cycle, "exterior"))
 
 
 def _nontri_faces(emb: Embedding):

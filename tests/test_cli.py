@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from corpus import with_octahedral_disk
 from grunbaum.cli import main
 from grunbaum.catalog import (
     catalog_embedding,
@@ -258,18 +259,21 @@ def test_budget_before_subcommand_reaches_search(capsys, tmp_path, monkeypatch):
 
 
 def test_budget_exhausted_inside_a_route_is_unknown(capsys, tmp_path):
-    # a 22-vertex host on the K7 route: 30 nodes solve it; with fewer the
-    # budget runs out in the subgraph search or in the route's disk solves
-    host = random_refinement(triangulate_faces(catalog_embedding("k6-6")), 15, seed=3)
+    # a 25-vertex host on the K7 route: 26 nodes solve it; with fewer the
+    # budget runs out in the subgraph search or in the route's fill of the
+    # octahedral disk, the one frame triangle that keeps a search once the
+    # stellations are removed
+    host = random_refinement(
+        triangulate_faces(with_octahedral_disk(catalog_embedding("k6-6"))), 15, seed=3)
     path = tmp_path / "k7host.emb"
     write_embedding(host, path)
-    for budget, stage in ((6, "subgraph search"), (10, "K7"), (29, "K7")):
+    for budget, stage in ((6, "subgraph search"), (22, "K7"), (25, "K7")):
         assert main(["--json", "--budget", str(budget), "solve", str(path)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "UNKNOWN" and doc["method"] == stage
         assert doc["trace"][-1].startswith(f"{stage}: ")
         assert doc["trace"][-1].endswith(f"node budget {budget} exhausted")
-    assert main(["--json", "--budget", "30", "solve", str(path)]) == 0
+    assert main(["--json", "--budget", "26", "solve", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "FOUND"
 
 

@@ -58,15 +58,23 @@ from grunbaum.pipeline import (
     apex_solve,
     extend_into_faces,
     recognize_grid_coloring,
+    remove_stellations,
+    restore_stellations,
     solve,
     solve_disk,
 )
 from grunbaum import chroma, pipeline
 from grunbaum.coloring import EdgeColoring
 from grunbaum.fileio import read_embedding, write_embedding
-from grunbaum.solver import Budget, color_vertices_k, four_color_vertices, solve_exact
+from grunbaum.solver import (
+    Budget,
+    color_vertices_k,
+    count_grunbaum_colorings,
+    four_color_vertices,
+    solve_exact,
+)
 
-from corpus import torus_census
+from corpus import grid_chromatic, torus_census, valid_grids, with_octahedral_disk
 from paper_cases import apply_case_table, case_coloring, frame_of, square_disk_type
 
 DISPATCH_PATTERNS = ("K7", *CRITICAL_PATTERNS)
@@ -87,8 +95,10 @@ def _wheel_square():
 
 
 def _route_host(name):
-    """A triangulated catalog embedding with 15 seeded stellations."""
-    return random_refinement(triangulate_faces(catalog_embedding(name)), 15, seed=3)
+    """A catalog embedding with an octahedral disk in its first triangle,
+    its other faces coned, and 15 seeded stellations."""
+    return random_refinement(
+        triangulate_faces(with_octahedral_disk(catalog_embedding(name))), 15, seed=3)
 
 
 def _hexagon_hosts():
@@ -523,7 +533,8 @@ ROUTE_HOSTS = {
     "CRITICAL(6)": lambda: _hexagon_hosts()[0],
     "CRITICAL(H7K2)": lambda: triangulate_faces(catalog_embedding("h7k2")),
     "CRITICAL(C3C5)": lambda: triangulate_faces(catalog_embedding("c3c5")),
-    "CRITICAL(C11CUBED)": lambda: random_refinement(gen_named("C11^3").embedding, 2, seed=2),
+    "CRITICAL(C11CUBED)": lambda: random_refinement(
+        with_octahedral_disk(gen_named("C11^3").embedding), 2, seed=2),
     "EXACT": lambda: random_refinement(gen_altshuler(3, 3, 1).embedding, 2, seed=0),
 }
 LAST_STAGE = {"TAIT": "4-coloring", "EXACT": "exact search"}
@@ -898,3 +909,49 @@ def test_gate_runs_out_as_subgraph_search():
     nodes = spent.used_nodes + 1
     report = solve(host, Budget(nodes=nodes))
     assert _unknown_stage(report) == ("subgraph search", f"node budget {nodes} exhausted")
+
+
+def _stellated_hosts():
+    """Census tori with 7-9 vertices (every 16th of those with 9) with 1-6
+    seeded stellations, K7 and T(3,3,1) with 0, 1, 3 and 6, and the
+    triangulated (5,4) embedding of K6, which has no degree-3 vertex."""
+    census = [*torus_census(7), *torus_census(8), *torus_census(9)[::16]]
+    hosts = [random_refinement(host, 1 + i % 6, seed=i) for i, host in enumerate(census)]
+    hosts += [random_refinement(base, steps, seed=steps)
+              for base in (gen_named("K7"), gen_altshuler(3, 3, 1).embedding)
+              for steps in (0, 1, 3, 6)]
+    return hosts + [triangulate_faces(catalog_embedding("k6-54"))]
+
+
+def test_removing_stellations_keeps_every_coloring():
+    # a degree-3 vertex's edges are forced by the face its removal leaves,
+    # so each coloring of the base puts back to exactly one of the host
+    unchanged = 0
+    for host in _stellated_hosts():
+        budget = Budget()
+        base, removed = remove_stellations(host, budget)
+        assert budget.used_nodes == len(removed)
+        assert base.num_vertices == host.num_vertices - len(removed)
+        assert min(map(len, base.rotations)) > 3
+        if min(map(len, host.rotations)) > 3:
+            assert base is host and removed == []
+            unchanged += 1
+        restored = {restore_stellations(host, removed, coloring)
+                    for coloring in solve_exact(base, mode="enumerate")}
+        assert all(verify_grunbaum(host, coloring).ok for coloring in restored)
+        assert len(restored) == count_grunbaum_colorings(host) == count_grunbaum_colorings(base)
+    assert unchanged == 3
+
+
+def test_refined_five_chromatic_grids_end_found():
+    # every five-chromatic grid of the corpus in turn, with 20-45 seeded
+    # stellations: the exact search runs on the grid once they are removed
+    chis = grid_chromatic()
+    grids = [grid for params, grid in valid_grids() if chis[params] == 5]
+    assert len(grids) == 12
+    for seed in range(100, 148):
+        grid = grids[(seed - 100) % 12]
+        host = random_refinement(grid.embedding, 20 + 7 * seed % 26, seed=seed)
+        report = solve(host, Budget(seconds=8))
+        assert report.found and report.method == "EXACT", (seed, report.trace)
+        assert verify_grunbaum(host, report.coloring).ok

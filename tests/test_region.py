@@ -8,14 +8,20 @@ free pentagon, hexagon and quadrilateral there too (``apex_solve`` and the
 given, mirrored and relabelled, the disk cut out for the same cycle
 (``extract_disk``), solved as a region of its own embedding, must give the
 same colors, the same node count, the same square kinds and the same
-reductions.  A structural solve builds no embedding beyond its frame's, and
+reductions.  A structural solve builds no embedding beyond its frame's and
+its host's without the stellations, and
 the case analysis's entry lies in a class that fits every disk.
 """
 import random
 from collections import Counter
 
 from corpus import toroidal_corpus, torus_census
-from grunbaum.catalog import frame_classes, labeling_cycles
+from grunbaum.catalog import (
+    catalog_embedding,
+    frame_classes,
+    labeling_cycles,
+    triangulate_faces,
+)
 from grunbaum.coloring import tait_lift
 from grunbaum.embedding import (
     Embedding,
@@ -185,8 +191,11 @@ def test_free_disks_agree_with_cut_out_disks():
 
 
 def test_structural_solve_builds_only_the_frame_embedding(monkeypatch):
-    # match_frame's sub-embedding is the one; every disk is read off the host
-    hosts = _hosts()
+    # match_frame's sub-embedding is the one, besides the host without its
+    # stellations when it has any; every disk is read off the host
+    hosts = _hosts() + [triangulate_faces(catalog_embedding(name)) for name in
+                        ("k6-444a", "k6-444b", "k6-54", "h7k2", "c3c5")]
+    stellated = [any(len(r) == 3 for r in host.rotations) for host in hosts]
     built = []
     init = Embedding.__init__
 
@@ -195,11 +204,12 @@ def test_structural_solve_builds_only_the_frame_embedding(monkeypatch):
         init(self, rotations)
 
     monkeypatch.setattr(Embedding, "__init__", counted)
-    for host in hosts:
+    for host, removes in zip(hosts, stellated):
         built.clear()
         report = solve(host)
         assert report.method in STRUCTURAL
-        assert len(built) == 1, report.method
+        assert len(built) == 1 + removes, report.method
+    assert any(stellated) and not all(stellated)
 
 
 def test_case_table_entries_lie_in_classes_that_fit():

@@ -3,11 +3,12 @@
 For the checkout this file lives in, prints one line per input set: the
 set's name, its input count, a SHA-256 over every input's status, method,
 trace, ``stats.nodes`` and coloring, after ``outcomes=`` a second SHA-256
-over the same fields without ``stats.nodes``, and after ``routes=`` a third
-over status, method and trace only, and after ``nodes=`` the set's total
-of ``stats.nodes``.  Two checkouts that print the same
-lines solve those inputs identically; two that differ only in the first
-hash reach the same outcomes with other node counts; two that agree only
+over the same fields without ``stats.nodes``, after ``routes=`` a third
+over status, method and trace only, after ``nodes=`` the set's total of
+``stats.nodes`` and after ``max=`` its largest, the set's worst input.  Two
+checkouts that print the same lines solve those inputs identically; two
+that differ only in the first hash and the node counts reach the same
+outcomes with other node counts; two that agree only
 on ``routes=`` take the same route through the same stages to other
 colorings.  Wall times are left out.
 
@@ -63,12 +64,13 @@ def digest(outcomes) -> str:
 def summary(name: str, outcomes: list) -> str:
     """The set's line: all three hashes, the second with ``stats.nodes``
     left out, the third with the coloring left out as well, then the
-    total node count."""
+    total and the largest node count."""
     no_nodes = [fields[:3] + fields[4:] for fields in outcomes]
     routes = [fields[:3] for fields in outcomes]
-    nodes = sum(fields[3] for fields in outcomes)
+    nodes = [fields[3] for fields in outcomes]
     return (f"{name} ({len(outcomes)} inputs): {digest(outcomes)} "
-            f"outcomes={digest(no_nodes)} routes={digest(routes)} nodes={nodes}")
+            f"outcomes={digest(no_nodes)} routes={digest(routes)} "
+            f"nodes={sum(nodes)} max={max(nodes, default=0)}")
 
 
 def main(argv=None) -> int:
